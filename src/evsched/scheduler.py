@@ -55,6 +55,7 @@ __all__ = [
     "build_offline",
     "OfflineVarMap",
     "quantize_and_reclaim",
+    "QuantizationError",
     "rampdown_update",
     "AdaptiveScheduler",
 ]
@@ -558,6 +559,10 @@ class OfflineVarMap:
 # -- quantization and rampdown -------------------------------------------------
 
 
+class QuantizationError(RuntimeError):
+    """Rounded pilots that neither the walk-down nor the reclaim pass made feasible."""
+
+
 def quantize_and_reclaim(
     desired: Mapping[str, float],
     network: ChargingNetwork,
@@ -574,6 +579,8 @@ def quantize_and_reclaim(
     the most to rounding (queue fixed up front, ties broken by ``order``) are
     repeatedly offered the next allowed pilot, accepting whenever the network
     stays feasible and total allocation stays within the pre-rounding total.
+    Raises QuantizationError when the rounded rates are infeasible and neither
+    walking them down nor the reclaim pass repairs them.
     """
     order = list(order) if order is not None else sorted(desired)
     rank = {e: i for i, e in enumerate(order)}
@@ -587,16 +594,19 @@ def quantize_and_reclaim(
 
     # Flooring each coordinate cannot break the affine form, but with phase
     # cancellation a lower rate can raise a magnitude aggregate; walk rates
-    # down until physical.
-    guard = 0
-    while not network.is_feasible(rates, t, mode, tol) and guard < 16 * max(len(rates), 1):
-        guard += 1
+    # down until physical. If that gives up, only an accepted reclaim trial
+    # (always feasible) can still repair the vector.
+    feasible = True
+    steps = 0
+    while not network.is_feasible(rates, t, mode, tol):
         margins = network.soc_margins(rates, t) if mode == "soc" else network.affine_margins(rates, t)
         worst = int(np.argmin(margins))
         row = np.abs(network._weights[worst])
         movable = [e for e in rates if rates[e] > 0 and row[network.evse_index[e]] > 0]
-        if not movable:
+        if not movable or steps == 16 * max(len(rates), 1):
+            feasible = False
             break
+        steps += 1
         victim = max(movable, key=lambda e: (row[network.evse_index[e]] * rates[e], -rank.get(e, 0)))
         evse = network.evse(victim)
         lower = [r for r in ([0.0] if evse.continuous else evse.allowable_rates) if r < rates[victim] - 1e-9]
@@ -628,7 +638,9 @@ def quantize_and_reclaim(
             trial[evse_id] = nxt
             if network.is_feasible(trial, t, mode, tol):
                 rates[evse_id] = nxt
-                changed = True
+                changed = feasible = True
+    if not feasible:
+        raise QuantizationError(f"rounded pilots at period {t} stay infeasible after walking rates down")
     return rates
 
 
@@ -739,15 +751,20 @@ class AdaptiveScheduler:
             desired = {s.evse.id: sched.rate_at(s.session.id, k) for s in active}
             bounds = {s.evse.id: min(s.pilot_upper_bound, s.evse.max_pilot) for s in active}
             order = [s.evse.id for s in sorted(active, key=lambda s: (s.session.arrival, s.session.id))]
-            quantized = quantize_and_reclaim(
-                desired,
-                self.network,
-                bounds=bounds,
-                order=order,
-                t=k,
-                mode=self.constraint_mode,
-                tol=self.tol,
-            )
+            try:
+                quantized = quantize_and_reclaim(
+                    desired,
+                    self.network,
+                    bounds=bounds,
+                    order=order,
+                    t=k,
+                    mode=self.constraint_mode,
+                    tol=self.tol,
+                )
+            except QuantizationError as exc:
+                self.fallback_count += 1
+                logger.info("%s; using minimum-rate fallback", exc)
+                return minimum_rate_fallback(active, self.network, laxity, k, self.constraint_mode)
             return {s.session.id: quantized[s.evse.id] for s in active}
         return {
             s.session.id: float(np.clip(sched.rate_at(s.session.id, k), 0.0, min(s.pilot_upper_bound, s.evse.max_pilot)))
@@ -772,6 +789,7 @@ class AdaptiveScheduler:
             solution.status == MAX_ITER
             and math.isfinite(solution.objective)
             and solution.max_violation <= ACCEPT_VIOLATION
+            and program.row_violation(solution.x) <= ACCEPT_VIOLATION
         )
         if usable:
             self._schedule = Schedule(varmap.schedule(solution.x), k, horizon)

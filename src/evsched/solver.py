@@ -17,9 +17,15 @@ polygon contains the disk, hence intermediate iterates can overshoot a limit
 by a few percent at most and the final iterate by at most ``tol``.
 
 The inner quadratic program is solved by a Mehrotra predictor-corrector
-primal-dual interior-point method on the regularized KKT system, factorized
-sparsely. Epigraph and norm values become auxiliary variables minimized from
-above, so reported objectives are recomputed exactly from the returned point.
+primal-dual interior-point method. Box bounds are not rows: each finite
+bound only adds its barrier weight z/s to the diagonal. Each Newton step
+solves the regularized normal equations (P + delta + G'WG) dx = r, with W the
+rows' weights z/s; the pattern of G'WG is fixed per call and its values
+refreshed every iteration. Programs with up to a thousand variables factor
+that matrix densely by Cholesky; larger ones factor the equivalent sparse
+KKT system by LU. Epigraph and norm values become auxiliary variables
+minimized from above, so reported objectives are recomputed exactly from the
+returned point.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -75,15 +82,6 @@ class LinExpr:
 
     def value(self, x: np.ndarray) -> float:
         return float(self.coef @ x[self.idx] + self.const)
-
-
-def _combine(scale_a: float, a: LinExpr, scale_b: float, b: LinExpr) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.concatenate([a.idx, b.idx])
-    coef = np.concatenate([scale_a * a.coef, scale_b * b.coef])
-    uniq, inv = np.unique(idx, return_inverse=True)
-    summed = np.zeros(len(uniq))
-    np.add.at(summed, inv, coef)
-    return uniq, summed
 
 
 @dataclass(eq=False)
@@ -194,6 +192,15 @@ class ConvexProgram:
             worst = max(worst, d.violation(x))
         return worst
 
+    def row_violation(self, x: np.ndarray) -> float:
+        """Worst violation at x of the bounds, inequality rows and equality rows (0 if none)."""
+        worst = max(0.0, float(np.max(self.lower - x)), float(np.max(x - self.upper)))
+        for expr, rhs in self.linear_ineqs:
+            worst = max(worst, expr.value(x) - rhs)
+        for expr, rhs in self.linear_eqs:
+            worst = max(worst, abs(expr.value(x) - rhs))
+        return worst
+
 
 @dataclass(eq=False)
 class Solution:
@@ -204,6 +211,7 @@ class Solution:
     outer_iterations: int
     cuts_added: int
     violation_history: list[float]
+    inner_iterations: list[int] = field(default_factory=list)  # Mehrotra iterations, one per outer pass
 
 
 def add_soc_cut(program: ConvexProgram, disk_index: int, x: np.ndarray) -> tuple[LinExpr, float]:
@@ -219,49 +227,65 @@ def add_soc_cut(program: ConvexProgram, disk_index: int, x: np.ndarray) -> tuple
     mag = math.hypot(re, im)
     if mag <= disk.limit:
         raise ValueError(f"point does not violate disk {disk_index} ({mag:.6g} <= {disk.limit:.6g})")
-    ure, uim = re / mag, im / mag
-    idx, coef = _combine(ure, disk.real, uim, disk.imag)
-    rhs = disk.limit - ure * disk.real.const - uim * disk.imag.const
-    expr = LinExpr(idx, coef)
-    program.linear_ineqs.append((expr, rhs))
-    return expr, rhs
+    idx, coef, rhs = _tangent_rows(disk, np.array([re / mag]), np.array([im / mag]))
+    expr = LinExpr(idx, coef[0])
+    program.linear_ineqs.append((expr, float(rhs[0])))
+    return expr, float(rhs[0])
 
 
-def _disk_seed_rows(disk: DiskConstraint, k: int = SEED_TANGENTS) -> list[tuple[np.ndarray, np.ndarray, float]]:
-    rows = []
-    for j in range(k):
-        th = 2.0 * math.pi * (j + 0.5) / k
-        c, s = math.cos(th), math.sin(th)
-        idx, coef = _combine(c, disk.real, s, disk.imag)
-        rhs = disk.limit - c * disk.real.const - s * disk.imag.const
-        rows.append((idx, coef, rhs))
-    return rows
+_SEED_ANGLES = 2.0 * np.pi * (np.arange(SEED_TANGENTS) + 0.5) / SEED_TANGENTS
+
+
+def _tangent_rows(disk: DiskConstraint, c: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Half-planes c_k re + s_k im <= limit on the disk's phasor, one per direction k.
+
+    Returns the union index of the disk's real and imaginary parts, the
+    (len(c), len(idx)) coefficient block over it and the right-hand sides.
+    """
+    idx, inv = np.unique(np.concatenate([disk.real.idx, disk.imag.idx]), return_inverse=True)
+    k = len(disk.real.idx)
+    re = np.bincount(inv[:k], weights=disk.real.coef, minlength=len(idx))
+    im = np.bincount(inv[k:], weights=disk.imag.coef, minlength=len(idx))
+    coef = np.outer(c, re) + np.outer(s, im)
+    rhs = disk.limit - c * disk.real.const - s * disk.imag.const
+    return idx, coef, rhs
 
 
 class _RowStack:
-    """Accumulates sparse inequality rows, then builds csr G and h."""
+    """Accumulates sparse rows, then builds csr G and h.
+
+    ``build`` joins what it has into one block and keeps it, so a later build
+    only appends the rows added since.
+    """
 
     def __init__(self, n: int):
         self.n = n
         self.idx: list[np.ndarray] = []
         self.coef: list[np.ndarray] = []
-        self.rhs: list[float] = []
+        self.lens: list[np.ndarray] = []
+        self.rhs: list[np.ndarray] = []
 
-    def add(self, idx, coef, rhs: float) -> None:
-        self.idx.append(np.asarray(idx, dtype=int))
-        self.coef.append(np.asarray(coef, dtype=float))
-        self.rhs.append(float(rhs))
+    def __len__(self) -> int:
+        return sum(len(r) for r in self.rhs)
+
+    def add(self, idx: Sequence[np.ndarray], coef: Sequence[np.ndarray], rhs: Sequence[float]) -> None:
+        """One row coef[k] @ x[idx[k]] <= rhs[k] per k."""
+        if len(rhs):
+            self.idx.append(np.concatenate(idx).astype(int, copy=False))
+            self.coef.append(np.concatenate(coef).astype(float, copy=False))
+            self.lens.append(np.array([len(i) for i in idx]))
+            self.rhs.append(np.array(rhs, dtype=float))
 
     def build(self) -> tuple[sp.csr_matrix, np.ndarray]:
-        m = len(self.rhs)
-        if m == 0:
+        if not self.rhs:
             return sp.csr_matrix((0, self.n)), np.zeros(0)
-        indptr = np.zeros(m + 1, dtype=int)
-        indptr[1:] = np.cumsum([len(i) for i in self.idx])
-        indices = np.concatenate(self.idx) if indptr[-1] else np.zeros(0, dtype=int)
-        data = np.concatenate(self.coef) if indptr[-1] else np.zeros(0)
-        G = sp.csr_matrix((data, indices, indptr), shape=(m, self.n))
-        return G, np.asarray(self.rhs)
+        if len(self.rhs) > 1:
+            self.idx, self.coef, self.lens, self.rhs = (
+                [np.concatenate(parts)] for parts in (self.idx, self.coef, self.lens, self.rhs)
+            )
+        indptr = np.concatenate([[0], np.cumsum(self.lens[0])])
+        G = sp.csr_matrix((self.coef[0], self.idx[0], indptr), shape=(len(self.rhs[0]), self.n))
+        return G, self.rhs[0]
 
 
 def _row_maxabs(M: sp.csr_matrix) -> np.ndarray:
@@ -273,6 +297,134 @@ def _row_maxabs(M: sp.csr_matrix) -> np.ndarray:
     return np.maximum(out, 1e-12)
 
 
+class _Inequalities:
+    """Gx <= h and the finite bounds, laid out as [rows, upper bounds, lower bounds].
+
+    Bounds are applied by indexing; ``stacked`` writes them out as unit rows
+    for the callers that need one matrix.
+    """
+
+    def __init__(self, G: sp.csr_matrix, h: np.ndarray, lower: np.ndarray, upper: np.ndarray):
+        self.G, self.GT = G, G.T.tocsr()
+        self.iu = np.flatnonzero(np.isfinite(upper))
+        self.il = np.flatnonzero(np.isfinite(lower))
+        self.h = np.concatenate([h, upper[self.iu], -lower[self.il]])
+        self.m = G.shape[0]
+        self.k = self.m + len(self.iu)
+        self.n = G.shape[1]
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        return np.concatenate([self.G @ x, x[self.iu], -x[self.il]])
+
+    def tdot(self, z: np.ndarray) -> np.ndarray:
+        out = self.GT @ z[: self.m]
+        out[self.iu] += z[self.m : self.k]
+        out[self.il] -= z[self.k :]
+        return out
+
+    def bound_diag(self, w: np.ndarray) -> np.ndarray:
+        """Diagonal the bounds add to G' diag(w) G."""
+        return (np.bincount(self.iu, weights=w[self.m : self.k], minlength=self.n)
+                + np.bincount(self.il, weights=w[self.k :], minlength=self.n))
+
+    def stacked(self) -> sp.csr_matrix:
+        k = len(self.h) - self.m
+        data = np.concatenate([np.ones(len(self.iu)), -np.ones(len(self.il))])
+        E = sp.csr_matrix((data, (np.arange(k), np.concatenate([self.iu, self.il]))), shape=(k, self.n))
+        return sp.vstack([self.G, E], format="csr")
+
+
+# Newton steps of programs with at most this many variables are solved on the
+# dense normal matrix, larger ones on the sparse KKT matrix. Measured on 2 vCPUs
+# with one BLAS thread: over 46 lookahead-144 programs of criterion 3's
+# congested day the dense path took 0.10 s against 0.23 s below n = 250 and
+# 4.1 s against 5.4 s at n = 750-1039, but on that day's hindsight program
+# (n = 1896) 2.9-3.0 s against 2.7 s. The dense matrix also grows as n^2
+# (474 MB at the billing week's n = 7697).
+_DENSE_MAX_N = 1000
+
+
+def _normal_step(ineq: _Inequalities, As, p: int):
+    """Newton steps on the dense normal matrix N = P + delta + G' W G (Cholesky).
+
+    Each row adds W_r a_ri a_rj to N at (i, j) for every pair of its
+    nonzeros. Those (position, row, product) triples are fixed for the call,
+    so each iteration forms N's lower triangle with one bincount. Equality
+    rows are eliminated through the Schur complement A N^-1 A' + delta of the
+    quasi-definite system [[N, A'], [A, -delta]].
+    """
+    G, n = ineq.G, ineq.n
+    lens = np.diff(G.indptr)
+    row_of = np.repeat(np.arange(G.shape[0]), lens)
+    reps = lens[row_of]
+    first = np.repeat(np.arange(G.nnz), reps)
+    second = np.repeat(G.indptr[:-1][row_of], reps) + np.arange(len(first)) - np.repeat(np.cumsum(reps) - reps, reps)
+    ci, cj = G.indices[first], G.indices[second]
+    keep = ci >= cj
+    first, second = first[keep], second[keep]
+    pos = ci[keep] + cj[keep] * n  # column-major, so the buffer is Fortran-ordered for LAPACK
+    row = row_of[first]
+    prod = G.data[first] * G.data[second]
+    Ad = As.toarray() if p else None
+
+    def factor(p_reg, d, delta):
+        w = 1.0 / d
+        buf = np.bincount(pos, weights=prod * w[row], minlength=n * n).astype(float, copy=False)  # int when G is empty
+        buf[:: n + 1] += p_reg + ineq.bound_diag(w)
+        cN = sla.cho_factor(buf.reshape((n, n), order="F"), lower=True, overwrite_a=True, check_finite=False)
+        if p:
+            S = Ad @ sla.cho_solve(cN, Ad.T, check_finite=False)
+            S[np.diag_indices(p)] += delta
+            cS = sla.cho_factor(S, lower=True, overwrite_a=True, check_finite=False)
+
+        def solve_step(rd, re, r3):
+            wr3 = w * r3
+            f = ineq.tdot(wr3) - rd
+            dy = np.zeros(0)
+            if p:
+                dy = sla.cho_solve(cS, Ad @ sla.cho_solve(cN, f, check_finite=False) + re, check_finite=False)
+                f = f - Ad.T @ dy
+            dx = sla.cho_solve(cN, f, check_finite=False)
+            return dx, dy, w * ineq.dot(dx) - wr3
+
+        return solve_step
+
+    return factor
+
+
+def _kkt_step(ineq: _Inequalities, As, p: int):
+    """Newton steps on the sparse regularized (n+p+m) KKT matrix (LU).
+
+    Only the diagonal blocks change between iterations, so the matrix is
+    assembled once per call and its diagonal rewritten in place.
+    """
+    n = ineq.n
+    G = ineq.stacked()
+    m = G.shape[0]
+    blocks = [
+        [sp.identity(n), As.T if p else None, G.T],
+        [As, sp.identity(p) if p else None, None],
+        [G, None, sp.identity(m)],
+    ]
+    if not p:
+        blocks = [[blocks[0][0], blocks[0][2]], [blocks[2][0], blocks[2][2]]]
+    K = sp.bmat(blocks, format="csc")
+    K_coo = K.tocoo()  # same entry order as K.data, which runs column by column
+    diag_pos = np.flatnonzero(K_coo.row == K_coo.col)
+
+    def factor(p_reg, d, delta):
+        K.data[diag_pos] = np.concatenate([p_reg, np.full(p, -delta), -d])
+        lu = spla.splu(K)
+
+        def solve_step(rd, re, r3):
+            sol = lu.solve(np.concatenate([-rd, -re, r3]))
+            return sol[:n], sol[n : n + p], sol[n + p :]
+
+        return solve_step
+
+    return factor
+
+
 def _step_length(s: np.ndarray, ds: np.ndarray, z: np.ndarray, dz: np.ndarray, tau: float) -> float:
     alpha = 1.0
     for v, dv in ((s, ds), (z, dz)):
@@ -282,56 +434,44 @@ def _step_length(s: np.ndarray, ds: np.ndarray, z: np.ndarray, dz: np.ndarray, t
     return alpha
 
 
-def _ipm_qp(P_diag, q, G, h, A, b, x0, feas_tol=1e-8, max_iter=_INNER_MAX_ITER):
-    """Minimize 1/2 x'diag(P)x + q'x  s.t.  Gx <= h, Ax = b.
+def _ipm_qp(P_diag, q, G, h, lower, upper, A, b, x0, feas_tol=1e-8, max_iter=_INNER_MAX_ITER):
+    """Minimize 1/2 x'diag(P)x + q'x  s.t.  Gx <= h, lower <= x <= upper, Ax = b.
 
-    Returns (x, status, iterations). G must have at least one row.
+    Returns (x, status, iterations). G and the finite bounds together must
+    have at least one row.
     """
     n = len(q)
-    m = G.shape[0]
     p = A.shape[0] if A is not None else 0
 
     # Scale inequality and equality rows to unit inf-norm; keeps the central
-    # path well conditioned when limits span orders of magnitude.
+    # path well conditioned when limits span orders of magnitude. Bound rows
+    # have unit norm already.
     G = G.tocsr()
     g_scale = _row_maxabs(G)
-    Gs = sp.diags(1.0 / g_scale) @ G
-    hs = h / g_scale
+    ineq = _Inequalities(sp.diags(1.0 / g_scale) @ G, h / g_scale, lower, upper)
+    hs = ineq.h
+    m = len(hs)
     if p:
         A = A.tocsr()
         a_scale = _row_maxabs(A)
-        As = sp.diags(1.0 / a_scale) @ A
+        As = (sp.diags(1.0 / a_scale) @ A).tocsr()
         bs = b / a_scale
     else:
         As, bs = None, np.zeros(0)
+    factor = _normal_step(ineq, As, p) if n <= _DENSE_MAX_N else _kkt_step(ineq, As, p)
 
     x = np.asarray(x0, dtype=float).copy()
-    s = np.maximum(hs - Gs @ x, 1.0)
+    s = np.maximum(hs - ineq.dot(x), 1.0)
     z = np.ones(m)
     y = np.zeros(p)
     delta = 1e-9
-    GsT = Gs.T.tocsr()
-    AsT = As.T.tocsr() if p else None
     q_scale = 1.0 + float(np.max(np.abs(q))) if n else 1.0
     h_scale = 1.0 + float(np.max(np.abs(hs))) if m else 1.0
 
-    # Only the diagonal blocks of the KKT matrix change between iterations, so
-    # its pattern is assembled once and the diagonal is rewritten in place.
-    blocks = [
-        [sp.identity(n), AsT, GsT],
-        [As, sp.identity(p) if p else None, None],
-        [Gs, None, sp.identity(m)],
-    ]
-    if not p:
-        blocks = [[blocks[0][0], blocks[0][2]], [blocks[2][0], blocks[2][2]]]
-    K = sp.bmat(blocks, format="csc")
-    K_coo = K.tocoo()  # same entry order as K.data, which runs column by column
-    diag_pos = np.flatnonzero(K_coo.row == K_coo.col)
-
     best = (np.inf, x.copy())
     for it in range(1, max_iter + 1):
-        rd = P_diag * x + q + GsT @ z + (AsT @ y if p else 0.0)
-        rp = Gs @ x + s - hs
+        rd = P_diag * x + q + ineq.tdot(z) + (As.T @ y if p else 0.0)
+        rp = ineq.dot(x) + s - hs
         re = (As @ x - bs) if p else np.zeros(0)
         mu = float(s @ z) / m
 
@@ -350,31 +490,25 @@ def _ipm_qp(P_diag, q, G, h, A, b, x0, feas_tol=1e-8, max_iter=_INNER_MAX_ITER):
         if mu > 1e12 or dual_mass > 1e14:
             return best[1], MAX_ITER, it
 
-        # Rewritten every iteration, so a retry with a larger delta regularizes
-        # all three blocks.
-        K.data[diag_pos] = np.concatenate([P_diag + delta, np.full(p, -delta), -(s / z + delta)])
+        # The step solves [[P + delta, A', G'], [A, -delta, 0], [G, 0, -(S/Z + delta)]];
+        # a failed factorization retries with a larger delta everywhere.
         try:
-            lu = spla.splu(K)
-        except RuntimeError:
+            solve_step = factor(P_diag + delta, s / z + delta, delta)
+        except (RuntimeError, sla.LinAlgError):
             delta *= 100.0
             if delta > 1e-2:
                 return best[1], MAX_ITER, it
             continue
 
-        def solve_kkt(r3):
-            rhs = np.concatenate([-rd, -re, r3]) if p else np.concatenate([-rd, r3])
-            sol = lu.solve(rhs)
-            return sol[:n], sol[n:n + p], sol[n + p:]
-
-        dx, dy, dz = solve_kkt(-rp + s)
-        ds = -rp - Gs @ dx
+        dx, dy, dz = solve_step(rd, re, -rp + s)
+        ds = -rp - ineq.dot(dx)
         alpha_aff = _step_length(s, ds, z, dz, 1.0)
         mu_aff = float((s + alpha_aff * ds) @ (z + alpha_aff * dz)) / m
         sigma = min(max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-8), 0.9999)
 
         r3 = -rp + s + (ds * dz - sigma * mu) / z
-        dx, dy, dz = solve_kkt(r3)
-        ds = -rp - Gs @ dx
+        dx, dy, dz = solve_step(rd, re, r3)
+        ds = -rp - ineq.dot(dx)
         alpha = _step_length(s, ds, z, dz, 0.99)
         if alpha < 1e-12:
             return best[1], MAX_ITER, it
@@ -387,73 +521,75 @@ def _ipm_qp(P_diag, q, G, h, A, b, x0, feas_tol=1e-8, max_iter=_INNER_MAX_ITER):
     return best[1], MAX_ITER, max_iter
 
 
-def _certify_infeasible(G, h, A, b, x0) -> bool:
-    """Phase-1 check: minimize the worst violation t of Gx - t <= h, Ax = b.
+def _certify_infeasible(G, h, lower, upper, A, b, x0) -> bool:
+    """Phase-1 check: minimize the worst violation t of every row and bound, Ax = b.
 
-    Always feasible and bounded (t floored at -1), so the interior-point
-    method converges; a strictly positive optimal t proves the original row
-    system empty.
+    Rows become Gx - t <= h and bounds x - t <= upper, -x - t <= -lower, so
+    the program is always feasible; t >= -1 keeps it bounded and the
+    interior-point method converges. A strictly positive optimal t proves
+    the original system empty.
     """
     n = G.shape[1]
-    ones = np.ones((G.shape[0], 1))
-    G1 = sp.hstack([G, -sp.csr_matrix(ones)], format="csr")
-    floor_row = sp.csr_matrix(([-1.0], ([0], [n])), shape=(1, n + 1))
-    G1 = sp.vstack([G1, floor_row], format="csr")
-    h1 = np.concatenate([h, [1.0]])
+    rows = _Inequalities(G, h, lower, upper)
+    Gb, hb = rows.stacked(), rows.h
+    G1 = sp.hstack([Gb, -sp.csr_matrix(np.ones((Gb.shape[0], 1)))], format="csr")
     A1 = sp.hstack([A, sp.csr_matrix((A.shape[0], 1))], format="csr") if A is not None else None
+    lower1 = np.concatenate([np.full(n, -np.inf), [-1.0]])
     P1 = np.full(n + 1, 1e-9)
     q1 = np.zeros(n + 1)
     q1[n] = 1.0
-    t0 = float(np.max(G @ x0 - h, initial=0.0)) + 1.0
-    x1, status, _ = _ipm_qp(P1, q1, G1, h1, A1, b, np.concatenate([x0, [t0]]))
+    t0 = float(np.max(Gb @ x0 - hb, initial=0.0)) + 1.0
+    x1, status, _ = _ipm_qp(P1, q1, G1, hb, lower1, np.full(n + 1, np.inf), A1, b, np.concatenate([x0, [t0]]))
     if status != OPTIMAL:
         return False
-    threshold = 1e-7 * (1.0 + float(np.max(np.abs(h), initial=0.0)))
+    threshold = 1e-7 * (1.0 + float(np.max(np.abs(hb), initial=0.0)))
     return x1[n] > threshold
 
 
-def _assemble(program: ConvexProgram, extra_cuts: list[tuple[np.ndarray, np.ndarray, float]]):
-    n = program.n
-    n_epi = len(program.epigraph_terms)
-    n_norm = len(program.norm_terms)
-    ntot = n + n_epi + n_norm
+def _assemble(program: ConvexProgram):
+    """Objective, bounds, inequality rows and equality rows over x and the auxiliaries.
 
-    P = np.concatenate([2.0 * program.quad_cost, np.zeros(n_epi + n_norm)])
+    Auxiliaries (one per epigraph term, then one per norm term) are free.
+    """
+    n = program.n
+    n_aux = len(program.epigraph_terms) + len(program.norm_terms)
+    ntot = n + n_aux
+
+    P = np.concatenate([2.0 * program.quad_cost, np.zeros(n_aux)])
     q = np.concatenate(
         [-program.linear_cost,
          [t.weight for t in program.epigraph_terms],
          [t.weight for t in program.norm_terms]]
     )
+    lower = np.concatenate([program.lower, np.full(n_aux, -np.inf)])
+    upper = np.concatenate([program.upper, np.full(n_aux, np.inf)])
 
     rows = _RowStack(ntot)
-    for i in range(n):
-        if np.isfinite(program.upper[i]):
-            rows.add([i], [1.0], program.upper[i])
-        if np.isfinite(program.lower[i]):
-            rows.add([i], [-1.0], -program.lower[i])
-    for expr, rhs in program.linear_ineqs:
-        rows.add(expr.idx, expr.coef, rhs - expr.const)
-    for j, term in enumerate(program.epigraph_terms):
-        zi = n + j
-        for e in term.exprs:
-            rows.add(np.append(e.idx, zi), np.append(e.coef, -1.0), -e.const)
-    for j, term in enumerate(program.norm_terms):
-        zi = n + n_epi + j
-        for e in term.exprs:
-            rows.add(np.append(e.idx, zi), np.append(e.coef, -1.0), -e.const)
-            rows.add(np.append(e.idx, zi), np.append(-e.coef, -1.0), e.const)
+    ineqs = program.linear_ineqs
+    rows.add([e.idx for e, _ in ineqs], [e.coef for e, _ in ineqs], [rhs - e.const for e, rhs in ineqs])
+    # Epigraph rows e - z <= 0; norm rows +-e - z <= 0.
+    aux_rows = [(e, 1.0, n + j) for j, term in enumerate(program.epigraph_terms) for e in term.exprs]
+    aux_rows += [
+        (e, sign, n + len(program.epigraph_terms) + j)
+        for j, term in enumerate(program.norm_terms)
+        for e in term.exprs
+        for sign in (1.0, -1.0)
+    ]
+    rows.add(
+        [np.append(e.idx, zi) for e, _, zi in aux_rows],
+        [np.append(sign * e.coef, -1.0) for e, sign, _ in aux_rows],
+        [-sign * e.const for e, sign, _ in aux_rows],
+    )
+    seed_c, seed_s = np.cos(_SEED_ANGLES), np.sin(_SEED_ANGLES)
     for disk in program.disks:
-        for idx, coef, rhs in _disk_seed_rows(disk):
-            rows.add(idx, coef, rhs)
-    for idx, coef, rhs in extra_cuts:
-        rows.add(idx, coef, rhs)
-    G, h = rows.build()
+        idx, coef, rhs = _tangent_rows(disk, seed_c, seed_s)
+        rows.add([idx] * SEED_TANGENTS, coef, rhs)
 
     eq = _RowStack(ntot)
-    for expr, rhs in program.linear_eqs:
-        eq.add(expr.idx, expr.coef, rhs - expr.const)
+    eqs = program.linear_eqs
+    eq.add([e.idx for e, _ in eqs], [e.coef for e, _ in eqs], [rhs - e.const for e, rhs in eqs])
     A, b = eq.build()
-    return P, q, G, h, (A if A.shape[0] else None), b, ntot
+    return P, q, lower, upper, rows, (A if A.shape[0] else None), b
 
 
 def _initial_point(program: ConvexProgram, ntot: int) -> np.ndarray:
@@ -482,27 +618,30 @@ def solve(program: ConvexProgram, tol: float = 1e-4, max_iter: int = 50) -> Solu
     """
     program.validate()
     inner_tol = min(1e-8, tol * 1e-2)
-    cuts: list[tuple[np.ndarray, np.ndarray, float]] = []
+    P, q, lower, upper, rows, A, b = _assemble(program)
+    if len(rows) == 0 and not (np.isfinite(lower).any() or np.isfinite(upper).any()):
+        raise ProgramError("program has no inequality rows; add finite bounds")
+    x0 = _initial_point(program, len(q))
+    n_epi = len(program.epigraph_terms)
     history: list[float] = []
+    inner: list[int] = []
+    cuts = 0
     x_prog = None
     status = MAX_ITER
     outer = 0
 
     for outer in range(1, max_iter + 1):
-        P, q, G, h, A, b, ntot = _assemble(program, cuts)
-        if G.shape[0] == 0:
-            raise ProgramError("program has no inequality rows; add finite bounds")
-        x0 = _initial_point(program, ntot)
-        x_full, inner_status, _ = _ipm_qp(P, q, G, h, A, b, x0, feas_tol=inner_tol)
+        G, h = rows.build()
+        x_full, inner_status, iterations = _ipm_qp(P, q, G, h, lower, upper, A, b, x0, feas_tol=inner_tol)
+        inner.append(iterations)
         x_prog = x_full[: program.n]
 
-        if inner_status != OPTIMAL and _certify_infeasible(G, h, A, b, x0):
-            return Solution(x_prog, INFEASIBLE, math.nan, math.nan, outer, len(cuts), history)
+        if inner_status != OPTIMAL and _certify_infeasible(G, h, lower, upper, A, b, x0):
+            return Solution(x_prog, INFEASIBLE, math.nan, math.nan, outer, cuts, history, inner)
 
         worst = program.max_violation(x_prog)
         # Norm terms are relaxed the same way; treat z below the true norm as
         # a violation so cuts keep tightening the epigraph.
-        n_epi = len(program.epigraph_terms)
         for j, term in enumerate(program.norm_terms):
             zval = x_full[program.n + n_epi + j]
             worst = max(worst, term.value(x_prog) - zval)
@@ -512,13 +651,12 @@ def solve(program: ConvexProgram, tol: float = 1e-4, max_iter: int = 50) -> Solu
             break
 
         added = 0
-        for di, disk in enumerate(program.disks):
+        for disk in program.disks:
             if disk.violation(x_prog) > tol:
                 re, im = disk.phasor(x_prog)
                 mag = math.hypot(re, im)
-                ure, uim = re / mag, im / mag
-                idx, coef = _combine(ure, disk.real, uim, disk.imag)
-                cuts.append((idx, coef, disk.limit - ure * disk.real.const - uim * disk.imag.const))
+                idx, coef, rhs = _tangent_rows(disk, np.array([re / mag]), np.array([im / mag]))
+                rows.add([idx], coef, rhs)
                 added += 1
         for j, term in enumerate(program.norm_terms):
             zval = x_full[program.n + n_epi + j]
@@ -534,8 +672,9 @@ def solve(program: ConvexProgram, tol: float = 1e-4, max_iter: int = 50) -> Solu
                 uniq, inv = np.unique(idx, return_inverse=True)
                 summed = np.zeros(len(uniq))
                 np.add.at(summed, inv, coef)
-                cuts.append((uniq, summed, rhs))
+                rows.add([uniq], [summed], [rhs])
                 added += 1
+        cuts += added
         if added == 0:
             # Violation above tol but nothing to cut: numerical stall.
             status = MAX_ITER
@@ -543,4 +682,4 @@ def solve(program: ConvexProgram, tol: float = 1e-4, max_iter: int = 50) -> Solu
 
     objective = program.objective_value(x_prog)
     max_viol = history[-1] if history else 0.0
-    return Solution(x_prog, status, objective, max_viol, outer, len(cuts), history)
+    return Solution(x_prog, status, objective, max_viol, outer, cuts, history, inner)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import evsched.scheduler as scheduler_mod
 from evsched.network import (
     ChargingNetwork,
     NetworkConstraint,
@@ -16,6 +17,7 @@ from evsched.scheduler import (
     EvState,
     LoadVariance,
     NonCompletion,
+    QuantizationError,
     QuickCharge,
     Schedule,
     UtilityConfig,
@@ -26,7 +28,7 @@ from evsched.scheduler import (
     quantize_and_reclaim,
     rampdown_update,
 )
-from evsched.solver import OPTIMAL, solve
+from evsched.solver import MAX_ITER, OPTIMAL, Solution, solve
 from evsched.workload import Session
 
 
@@ -289,6 +291,36 @@ def test_adaptive_scheduler_falls_back_when_program_infeasible():
     pilots = sched.pilots(states, 0, True)
     assert pilots == {"a": 0.0}
     assert sched.fallback_count == 1
+
+
+def test_max_iter_result_is_used_only_when_its_rows_hold(monkeypatch):
+    # A max_iter point passes the disk check trivially in affine mode; its
+    # energy row must still hold. 4 x 32 A breaks the 50 A-period budget.
+    evse = continuous_evse("E1", 32.0, 0.0)
+    net = _line([evse], 40.0)
+    for x, fallbacks, pilot in ((np.full(4, 32.0), 1, 6.0), (np.full(4, 12.5), 0, 12.5)):
+        monkeypatch.setattr(scheduler_mod, "solve", lambda program, **_: Solution(x, MAX_ITER, 1.0, 0.0, 1, 0, [0.0]))
+        sched = AdaptiveScheduler(net, QC_ES)
+        pilots = sched.pilots({"a": _state("a", evse, departure=4, energy=50.0)}, 0, True)
+        assert sched.fallback_count == fallbacks
+        assert pilots == {"a": pytest.approx(pilot)}
+
+
+def test_quantize_signals_pilots_it_cannot_make_feasible(monkeypatch):
+    # |r - 30| <= 5 admits 25..32 A, but 24.9 floors to 24 and walking down
+    # only moves away from the disk.
+    evse = aerovironment("A", 0.0)
+    net = ChargingNetwork([evse], [NetworkConstraint("line", {"A": 1.0}, 5.0, background=-30 + 0j)])
+    assert net.is_feasible({"A": 25.0}, 0, "soc")
+    with pytest.raises(QuantizationError):
+        quantize_and_reclaim({"A": 24.9}, net, mode="soc")
+
+    relaxed = Solution(np.array([24.9]), OPTIMAL, 24.9, 0.0, 1, 0, [0.0])
+    monkeypatch.setattr(scheduler_mod, "solve", lambda program, **_: relaxed)
+    sched = AdaptiveScheduler(net, QC_ES, quantized=True, constraint_mode="soc")
+    pilots = sched.pilots({"a": _state("a", evse, energy=24.9)}, 0, True)
+    assert sched.fallback_count == 1
+    assert pilots == {"a": 0.0}  # even the minimum pilot breaks the disk
 
 
 def test_utility_config_validation():

@@ -4,6 +4,18 @@ import math
 import numpy as np
 import pytest
 
+import evsched.solver as solver_mod
+from evsched.network import synthetic_preset
+from evsched.scheduler import (
+    DemandCharge,
+    EqualShare,
+    EvState,
+    LoadVariance,
+    NonCompletion,
+    QuickCharge,
+    UtilityConfig,
+    build_opt,
+)
 from evsched.solver import (
     INFEASIBLE,
     OPTIMAL,
@@ -15,6 +27,7 @@ from evsched.solver import (
     add_soc_cut,
     solve,
 )
+from evsched.workload import Session
 from oracles import grid_search_max, random_grid_instance
 
 
@@ -257,3 +270,88 @@ def test_unbounded_box_needs_rows():
     p.upper[:] = np.inf
     with pytest.raises(ProgramError):
         solve(p)
+
+
+def _site_program():
+    """A soc lookahead program with every kind of row the scheduler emits.
+
+    Quantized lower bounds, free load-variance variables tied in by equality
+    rows, a demand-charge epigraph over every period, a p = 2 non-completion
+    norm and one disk per constraint and period, oversubscribed so that cuts
+    are needed.
+    """
+    net = synthetic_preset(6, 8.0)
+    states = []
+    for i, evse in enumerate(net.evses[:5]):
+        state = EvState.start(Session(f"s{i}", evse.id, 0, 4 + i, 60.0 + 25.0 * i), evse)
+        states.append(state)
+    utility = UtilityConfig(
+        ((QuickCharge(), 1.0), (EqualShare(), 0.01), (LoadVariance(), 1e-3),
+         (DemandCharge(0.05, 2.0), 1.0), (NonCompletion(p=2), 0.02)),
+        background_amps=lambda t: 3.0 * (t % 3),
+    )
+    prog, _ = build_opt(states, utility, net, 6, constraint_mode="soc", quantized=True)
+    return prog
+
+
+def _mixed_bounds_program():
+    """Finite, one-sided and -inf bounds, an equality row, a disk and both penalty kinds."""
+    p = ConvexProgram.empty(4)
+    p.lower[:] = [-np.inf, 1.0, -1.0, -np.inf]
+    p.upper[:] = [2.0, np.inf, 3.0, np.inf]
+    p.linear_cost[:] = [1.0, -0.5, 0.3, 0.2]
+    p.quad_cost[:] = [0.1, 0.2, 0.0, 0.05]
+    p.add_ineq([0, 1], [-1.0, 1.0], 4.0)
+    p.add_ineq([3], [1.0], 5.0)
+    p.add_eq([0, 2, 3], [1.0, 1.0, -1.0], 0.5)
+    p.add_disk(LinExpr([0, 1], [1.0, 0.5]), LinExpr([2], [1.0], 0.2), 2.5)
+    p.epigraph_terms.append(EpigraphTerm(0.3, [LinExpr([0, 2], [1.0, 1.0]), LinExpr([], [], 0.4)]))
+    p.norm_terms.append(NormTerm(0.2, [LinExpr([1], [1.0], -1.5), LinExpr([3], [1.0])]))
+    return p
+
+
+def _infeasible_program():
+    p = ConvexProgram.empty(2)
+    p.lower[:] = [5.0, -np.inf]
+    p.upper[:] = [10.0, 1.0]
+    p.add_ineq([0, 1], [1.0, -1.0], 2.0)
+    p.add_eq([0, 1], [1.0, 1.0], 4.0)
+    return p
+
+
+def _factorization_programs():
+    rng = np.random.default_rng(11)
+    return [_site_program(), _mixed_bounds_program(), _infeasible_program()] + [
+        random_grid_instance(rng) for _ in range(3)
+    ]
+
+
+@pytest.mark.parametrize("prog", _factorization_programs(),
+                         ids=["site_soc", "mixed_bounds", "infeasible", "grid_a", "grid_b", "grid_c"])
+def test_dense_and_sparse_newton_steps_agree(prog, monkeypatch):
+    assert prog.n + len(prog.epigraph_terms) + len(prog.norm_terms) <= solver_mod._DENSE_MAX_N
+    dense = solve(prog, tol=1e-6)
+    monkeypatch.setattr(solver_mod, "_DENSE_MAX_N", 0)
+    sparse = solve(prog, tol=1e-6)
+    assert dense.status == sparse.status
+    assert dense.outer_iterations == sparse.outer_iterations
+    assert dense.cuts_added == sparse.cuts_added
+    if dense.status == OPTIMAL:
+        assert dense.objective == pytest.approx(sparse.objective, rel=1e-8)
+
+
+def test_factorization_programs_cover_their_features():
+    site, mixed, infeasible = _factorization_programs()[:3]
+    assert site.linear_eqs and site.epigraph_terms and site.norm_terms and site.disks
+    assert np.isinf(site.lower).any() and (site.lower > 0).any()
+    sol = solve(site, tol=1e-6)
+    assert sol.status == OPTIMAL and sol.cuts_added > 0
+    assert solve(mixed, tol=1e-6).status == OPTIMAL
+    assert solve(infeasible).status == INFEASIBLE
+
+
+def test_inner_iterations_one_count_per_outer_pass():
+    for prog in _factorization_programs():
+        sol = solve(prog, tol=1e-6)
+        assert len(sol.inner_iterations) == sol.outer_iterations
+        assert all(k > 0 for k in sol.inner_iterations)
