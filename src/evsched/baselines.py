@@ -5,6 +5,12 @@ rate in a fixed priority order: least laxity first, earliest deadline first,
 or round-robin one increment at a time. In quantized mode everyone is first
 pinned at their minimum nonzero pilot (falling back to a priority subset when
 even that does not fit), then raised along each stall's allowed pilot list.
+
+Nothing is found by trial: with every other pilot fixed, the network's
+``rate_window`` gives in one step the interval of rates one stall can take,
+and a rate is granted exactly when it lies in that window. In continuous mode
+the grant is the cap clipped to the window, in quantized mode the largest
+menu pilot inside it.
 """
 
 from __future__ import annotations
@@ -24,7 +30,13 @@ __all__ = [
     "BaselineScheduler",
 ]
 
-_BISECT_STEPS = 40
+
+# A continuous grant clipped by the window would sit on a constraint's
+# boundary, where rounding can tip ``is_feasible`` either way and so empty the
+# windows of every EV after it. Grants stop this many amps inside instead:
+# far above the rounding of a window's ends (about 1e-12 A on a 54-stall
+# site), and about the last step a 40-step bisection over [0, 32 A] took.
+_INSIDE = 1e-10
 
 
 def _rate_cap(state: EvState, quantized: bool) -> float:
@@ -39,7 +51,7 @@ def _rate_cap(state: EvState, quantized: bool) -> float:
 
 
 def _max_feasible(
-    rates: dict[str, float],
+    vec: np.ndarray,
     state: EvState,
     network: ChargingNetwork,
     cap: float,
@@ -48,37 +60,30 @@ def _max_feasible(
     mode: str,
     tol: float,
 ) -> float:
-    """Largest rate for one EV keeping the partial allocation feasible."""
+    """Largest rate for one EV keeping the partial allocation ``vec`` feasible."""
     evse = state.evse
-    base = rates[evse.id]
-
-    def ok(r: float) -> bool:
-        rates[evse.id] = r
-        good = network.is_feasible(rates, t, mode, tol)
-        rates[evse.id] = base
-        return good
-
+    base = float(vec[network.evse_index[evse.id]])
+    lo, hi = network.rate_window(vec, network.evse_index[evse.id], t, mode, tol)
     if quantized:
-        candidates = [r for r in evse.allowable_rates if base <= r <= cap + 1e-9] if not evse.continuous else []
         if evse.continuous:
-            step = evse.min_nonzero_rate
-            candidates = [base] + [r for r in np.arange(step, cap + 1e-9, 1.0)]
-        for r in sorted(set(candidates), reverse=True):
-            if r >= base - 1e-9 and ok(r):
-                return max(r, base)
-        return base
-    if ok(cap):
-        return cap
-    lo, hi = base, cap
-    if not ok(lo):
-        return base
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
+            menu = [base] + list(np.arange(evse.min_nonzero_rate, cap + 1e-9, 1.0))
         else:
-            hi = mid
-    return lo
+            menu = [r for r in evse.allowable_rates if base <= r <= cap + 1e-9]
+        fits = [r for r in menu if r >= base - 1e-9 and lo <= r <= hi]
+        return max(max(fits), base) if fits else base
+    if lo <= cap <= hi:
+        return cap
+    if not lo <= base <= hi:
+        return base
+    return max(base, min(cap, hi - _INSIDE))
+
+
+def _pinned_minimums(active: Sequence[EvState], network: ChargingNetwork) -> np.ndarray:
+    """Network-ordered vector with every active EV at its minimum nonzero pilot."""
+    vec = np.zeros(len(network))
+    for s in active:
+        vec[network.evse_index[s.evse.id]] = min(s.evse.min_rate, s.pilot_upper_bound, s.evse.max_pilot)
+    return vec
 
 
 def _priority_pilots(
@@ -91,17 +96,16 @@ def _priority_pilots(
     tol: float,
 ) -> dict[str, float]:
     order = sorted(active, key=lambda s: (key(s), s.session.arrival, s.session.id))
-    rates = {s.evse.id: 0.0 for s in active}
+    vec = np.zeros(len(network))
     if quantized:
-        mins = {s.evse.id: min(s.evse.min_rate, s.pilot_upper_bound, s.evse.max_pilot) for s in active}
-        if not network.is_feasible(mins, t, mode, tol):
+        vec = _pinned_minimums(active, network)
+        if not network.is_feasible(vec, t, mode, tol):
             return minimum_rate_fallback(active, network, key, t, mode, tol)
-        rates = dict(mins)
     out = {}
     for state in order:
         cap = _rate_cap(state, quantized)
-        best = _max_feasible(rates, state, network, cap, quantized, t, mode, tol)
-        rates[state.evse.id] = best
+        best = _max_feasible(vec, state, network, cap, quantized, t, mode, tol)
+        vec[network.evse_index[state.evse.id]] = best
         out[state.session.id] = best
     return out
 
@@ -140,12 +144,11 @@ def rr_pilots(
 ) -> dict[str, float]:
     """Round-robin: cycle arrivals, raising each pilot one step while it fits."""
     order = sorted(active, key=lambda s: (s.session.arrival, s.session.id))
-    rates = {s.evse.id: 0.0 for s in active}
+    vec = np.zeros(len(network))
     if quantized:
-        mins = {s.evse.id: min(s.evse.min_rate, s.pilot_upper_bound, s.evse.max_pilot) for s in active}
-        if not network.is_feasible(mins, t, mode, tol):
+        vec = _pinned_minimums(active, network)
+        if not network.is_feasible(vec, t, mode, tol):
             return minimum_rate_fallback(active, network, lambda s: float(s.session.arrival), t, mode, tol)
-        rates = dict(mins)
     caps = {s.evse.id: _rate_cap(s, quantized) for s in active}
     blocked: set[str] = set()
     while len(blocked) < len(order):
@@ -153,17 +156,18 @@ def rr_pilots(
             evse = state.evse
             if evse.id in blocked:
                 continue
-            nxt = evse.next_rate(rates[evse.id]) if quantized else rates[evse.id] + 1.0
+            i = network.evse_index[evse.id]
+            rate = float(vec[i])
+            nxt = evse.next_rate(rate) if quantized else rate + 1.0
             if nxt is None or nxt > caps[evse.id] + 1e-9:
                 blocked.add(evse.id)
                 continue
-            trial = dict(rates)
-            trial[evse.id] = nxt
-            if network.is_feasible(trial, t, mode, tol):
-                rates[evse.id] = nxt
+            lo, hi = network.rate_window(vec, i, t, mode, tol)
+            if lo <= nxt <= hi:
+                vec[i] = nxt
             else:
                 blocked.add(evse.id)
-    return {s.session.id: rates[s.evse.id] for s in active}
+    return {s.session.id: float(vec[network.evse_index[s.evse.id]]) for s in active}
 
 
 def uncontrolled_pilots(active: Sequence[EvState]) -> dict[str, float]:

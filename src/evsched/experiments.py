@@ -428,6 +428,7 @@ def write_outputs(result: SimResult, out_dir: str | Path, resolved_cfg: dict[str
     out.mkdir(parents=True, exist_ok=True)
 
     traces = out / "traces.csv"
+    pilots, measured = result.pilots, result.measured
     with open(traces, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["period", "session_id", "pilot_amps", "measured_amps"])
@@ -435,7 +436,7 @@ def write_outputs(result: SimResult, out_dir: str | Path, resolved_cfg: dict[str
             for i, s in enumerate(result.sessions):
                 if s.arrival <= k < s.departure:
                     writer.writerow(
-                        [k, s.id, f"{result.pilots[i, k]:.10g}", f"{result.measured[i, k]:.10g}"]
+                        [k, s.id, f"{pilots[i, k]:.10g}", f"{measured[i, k]:.10g}"]
                     )
 
     constraints = out / "constraints.csv"

@@ -161,8 +161,10 @@ class ChargingNetwork:
     """EVSEs plus the constraint set they share.
 
     Rate vectors are ordered like ``network.evses``. The complex weight of
-    EVSE i in constraint l is ``A_li * exp(j phi_i)``; rows of that matrix are
-    cached for the feasibility checks and for building solver constraints.
+    EVSE i in constraint l is ``A_li * exp(j phi_i)``; that matrix is built
+    once, for the feasibility checks and for building solver constraints
+    (``weights``). Limits and backgrounds are likewise read from the
+    constraints once, at construction.
     """
 
     def __init__(self, evses: Sequence[Evse], constraints: Sequence[NetworkConstraint], nominal_voltage: float = 208.0):
@@ -185,7 +187,19 @@ class ChargingNetwork:
                     raise KeyError(f"constraint {c.id} references unknown EVSE {evse_id!r}")
                 i = self.evse_index[evse_id]
                 self._weights[li, i] = coef * cmath.exp(1j * math.radians(self.evses[i].phase_angle))
+        self._weights.setflags(write=False)
         self._abs_weights = np.abs(self._weights)
+        # Per EVSE: the rows it is in with |w_li| and conj(w_li) / |w_li|, and the rows it is not in.
+        self._columns = []
+        for i in range(n):
+            on = np.flatnonzero(self._abs_weights[:, i] > 0)
+            mag = self._abs_weights[on, i]
+            self._columns.append((on, np.flatnonzero(self._abs_weights[:, i] == 0), mag, np.conj(self._weights[on, i]) / mag))
+        # Limits and backgrounds are read once, into (m, T) tables whose rows
+        # are padded with their last value: column min(t, T - 1) holds every
+        # constraint's value at period t.
+        self._limit_table = _period_table(self.constraints, "limit", float)
+        self._background_table = _period_table(self.constraints, "background", complex)
 
     def __len__(self) -> int:
         return len(self.evses)
@@ -193,9 +207,10 @@ class ChargingNetwork:
     def evse(self, evse_id: str) -> Evse:
         return self.evses[self.evse_index[evse_id]]
 
-    def constraint_weights(self, constraint_id: str) -> np.ndarray:
-        """Complex weight row of one constraint, aligned with ``self.evses``."""
-        return self._weights[self.constraint_index[constraint_id]]
+    @property
+    def weights(self) -> np.ndarray:
+        """Read-only complex weights A_li exp(j phi_i): one row per constraint, one column per EVSE."""
+        return self._weights
 
     def _as_vector(self, rates: Mapping[str, float] | Sequence[float] | np.ndarray) -> np.ndarray:
         if isinstance(rates, Mapping):
@@ -212,13 +227,22 @@ class ChargingNetwork:
         """Complex aggregate current of one constraint, background included."""
         li = self.constraint_index[constraint_id]
         vec = self._as_vector(rates)
-        return complex(self._weights[li] @ vec) + self.constraints[li].background_at(t)
+        return complex(self._weights[li] @ vec) + complex(self._backgrounds_at(t)[li])
+
+    def limit_profile(self, periods: int) -> np.ndarray:
+        """Read-only (m, periods) limits: column t holds every constraint's limit at period t."""
+        table = self._limit_table
+        if table.shape[1] == 1:
+            return np.broadcast_to(table, (len(table), periods))
+        out = table[:, np.minimum(np.arange(periods), table.shape[1] - 1)]
+        out.setflags(write=False)
+        return out
 
     def _limits_at(self, t: int) -> np.ndarray:
-        return np.array([c.limit_at(t) for c in self.constraints])
+        return self._limit_table[:, min(t, self._limit_table.shape[1] - 1)]
 
     def _backgrounds_at(self, t: int) -> np.ndarray:
-        return np.array([c.background_at(t) for c in self.constraints], dtype=complex)
+        return self._background_table[:, min(t, self._background_table.shape[1] - 1)]
 
     def soc_margins(self, rates: Mapping[str, float] | Sequence[float], t: int = 0) -> np.ndarray:
         """Per-constraint slack c_l - |aggregate|; negative means violated."""
@@ -245,6 +269,41 @@ class ChargingNetwork:
         if mode == "affine":
             return bool(self.check_affine_feasible(rates, t, tol).all())
         raise ValueError(f"unknown feasibility mode {mode!r}")
+
+    def rate_window(self, vec: np.ndarray, i: int, t: int = 0, mode: str = "soc", tol: float = 1e-6) -> tuple[float, float]:
+        """Interval [lo, hi] of EVSE i's rate that keeps every constraint within tol.
+
+        ``vec`` is a network-ordered rate vector whose other entries stay
+        fixed; its entry i is ignored. Setting it to r passes ``is_feasible``
+        exactly when lo <= r <= hi, up to rounding at the ends. A row without
+        EVSE i must hold already, or the window is empty (lo > hi).
+        """
+        if mode not in ("soc", "affine"):
+            raise ValueError(f"unknown feasibility mode {mode!r}")
+        rest = np.array(vec, dtype=float)
+        rest[i] = 0.0
+        cap = self._limits_at(t) + tol
+        on, off, mag, unit = self._columns[i]
+        if mode == "affine":
+            # |A_li| |r| <= c_l + tol - (sum_{j != i} |A_lj| |r_j| + |L_l|)
+            room = cap - (self._abs_weights @ np.abs(rest) + np.abs(self._backgrounds_at(t)))
+            if len(off) and (room[off] < 0).any():
+                return _EMPTY
+            hi = float((room[on] / mag).min()) if len(on) else math.inf
+            return -hi, hi
+        # |a_l + w_li r| <= c_l + tol with a_l the rest of the aggregate. With
+        # p + jq = a_l conj(w_li) / |w_li| this is (p + |w_li| r)^2 <= (c_l + tol)^2 - q^2.
+        a = self._weights @ rest + self._backgrounds_at(t)
+        if len(off) and (np.abs(a[off]) > cap[off]).any():
+            return _EMPTY
+        if not len(on):
+            return -math.inf, math.inf
+        proj, cap = a[on] * unit, cap[on]
+        q = np.abs(proj.imag)
+        if (cap < q).any():
+            return _EMPTY
+        half = np.sqrt((cap - q) * (cap + q))
+        return float(((-proj.real - half) / mag).max()), float(((half - proj.real) / mag).min())
 
     # -- serialization ------------------------------------------------------
 
@@ -317,6 +376,23 @@ class ChargingNetwork:
     @classmethod
     def load(cls, path: str | Path) -> "ChargingNetwork":
         return cls.from_dict(json.loads(Path(path).read_text()))
+
+
+_EMPTY = (math.inf, -math.inf)  # a rate window no rate lies in
+
+
+def _period_table(constraints: Sequence[NetworkConstraint], name: str, dtype: type) -> np.ndarray:
+    """One row per constraint of a scalar or per-period field, padded with each row's last value."""
+    rows = [np.atleast_1d(np.asarray(getattr(c, name), dtype=dtype)) for c in constraints]
+    for c, row in zip(constraints, rows):
+        if row.ndim != 1 or not len(row):
+            raise ValueError(f"constraint {c.id}: {name} must be a scalar or a non-empty 1-D array")
+    table = np.empty((len(rows), max((len(r) for r in rows), default=1)), dtype=dtype)
+    for li, row in enumerate(rows):
+        table[li, : len(row)] = row
+        table[li, len(row) :] = row[-1]
+    table.setflags(write=False)
+    return table
 
 
 def _delta_wye_constraints(

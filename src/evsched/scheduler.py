@@ -199,19 +199,16 @@ def minimum_rate_fallback(
     rate: the most urgent EVs keep charging, the rest wait at zero.
     """
     order = sorted(active, key=lambda s: (priority(s), s.session.arrival, s.session.id))
-    rates = {s.evse.id: 0.0 for s in active}
+    vec = np.zeros(len(network))
     out = {}
     for state in order:
         step = min(state.evse.min_rate, state.pilot_upper_bound, state.evse.max_pilot)
-        if step <= 0:
-            out[state.session.id] = 0.0
-            continue
-        rates[state.evse.id] = step
-        if network.is_feasible(rates, t, mode, tol):
-            out[state.session.id] = step
-        else:
-            rates[state.evse.id] = 0.0
-            out[state.session.id] = 0.0
+        out[state.session.id] = 0.0
+        if step > 0:
+            i = network.evse_index[state.evse.id]
+            lo, hi = network.rate_window(vec, i, t, mode, tol)
+            if lo <= step <= hi:
+                vec[i] = out[state.session.id] = step
     return out
 
 
@@ -304,7 +301,7 @@ def build_opt(
         cols = np.array([network.evse_index[s.evse.id] for s in evs])
         var_idx = np.array([offsets[s.session.id] + t for s in evs])
         for li, constraint in enumerate(network.constraints):
-            w = network._weights[li, cols]
+            w = network.weights[li, cols]
             nz = w != 0
             if not nz.any():
                 continue
@@ -459,7 +456,7 @@ def build_offline(
         period_vars[t] = np.array([offsets[sid] + (t - windows[sid][0]) for sid in sids])
         cols = np.array([network.evse_index[by_id[sid].evse_id] for sid in sids])
         for li, constraint in enumerate(network.constraints):
-            w = network._weights[li, cols]
+            w = network.weights[li, cols]
             nz = w != 0
             if not nz.any():
                 continue
@@ -586,11 +583,12 @@ def quantize_and_reclaim(
     rank = {e: i for i, e in enumerate(order)}
     bounds = bounds or {}
 
-    rates: dict[str, float] = {}
+    col = {evse_id: network.evse_index[evse_id] for evse_id in desired}
+    vec = np.zeros(len(network))
     for evse_id, want in desired.items():
         evse = network.evse(evse_id)
         cap = min(bounds.get(evse_id, evse.max_pilot), evse.max_pilot)
-        rates[evse_id] = evse.floor_rate(min(max(want, 0.0), cap))
+        vec[col[evse_id]] = evse.floor_rate(min(max(want, 0.0), cap))
 
     # Flooring each coordinate cannot break the affine form, but with phase
     # cancellation a lower rate can raise a magnitude aggregate; walk rates
@@ -598,50 +596,52 @@ def quantize_and_reclaim(
     # (always feasible) can still repair the vector.
     feasible = True
     steps = 0
-    while not network.is_feasible(rates, t, mode, tol):
-        margins = network.soc_margins(rates, t) if mode == "soc" else network.affine_margins(rates, t)
-        worst = int(np.argmin(margins))
-        row = np.abs(network._weights[worst])
-        movable = [e for e in rates if rates[e] > 0 and row[network.evse_index[e]] > 0]
-        if not movable or steps == 16 * max(len(rates), 1):
+    while not network.is_feasible(vec, t, mode, tol):
+        margins = network.soc_margins(vec, t) if mode == "soc" else network.affine_margins(vec, t)
+        row = np.abs(network.weights[int(np.argmin(margins))])
+        movable = [e for e in desired if vec[col[e]] > 0 and row[col[e]] > 0]
+        if not movable or steps == 16 * max(len(desired), 1):
             feasible = False
             break
         steps += 1
-        victim = max(movable, key=lambda e: (row[network.evse_index[e]] * rates[e], -rank.get(e, 0)))
+        victim = max(movable, key=lambda e: (row[col[e]] * vec[col[e]], -rank.get(e, 0)))
         evse = network.evse(victim)
-        lower = [r for r in ([0.0] if evse.continuous else evse.allowable_rates) if r < rates[victim] - 1e-9]
-        rates[victim] = max(lower) if lower else 0.0
+        lower = [r for r in ([0.0] if evse.continuous else evse.allowable_rates) if r < vec[col[victim]] - 1e-9]
+        vec[col[victim]] = max(lower) if lower else 0.0
 
     budget = sum(max(v, 0.0) for v in desired.values())
     # Round the rounding loss so solver-level noise cannot scramble the
     # deterministic order-based tie-break.
     queue = sorted(
-        rates,
+        desired,
         key=lambda e: (
-            -round(min(max(desired[e], 0.0), bounds.get(e, math.inf)) - rates[e], 6),
+            -round(min(max(desired[e], 0.0), bounds.get(e, math.inf)) - float(vec[col[e]]), 6),
             rank.get(e, len(order)),
         ),
     )
+    cols = list(col.values())
+    total = sum(vec[cols].tolist())
 
     changed = True
     while changed:
         changed = False
         for evse_id in queue:
-            evse = network.evse(evse_id)
+            evse, i = network.evse(evse_id), col[evse_id]
             cap = min(bounds.get(evse_id, evse.max_pilot), evse.max_pilot)
-            nxt = evse.next_rate(rates[evse_id])
+            rate = float(vec[i])
+            nxt = evse.next_rate(rate)
             if nxt is None or nxt > cap + 1e-9:
                 continue
-            if sum(rates.values()) - rates[evse_id] + nxt > budget + 1e-9:
+            if total - rate + nxt > budget + 1e-9:
                 continue
-            trial = dict(rates)
-            trial[evse_id] = nxt
-            if network.is_feasible(trial, t, mode, tol):
-                rates[evse_id] = nxt
+            lo, hi = network.rate_window(vec, i, t, mode, tol)
+            if lo <= nxt <= hi:
+                vec[i] = nxt
+                total = sum(vec[cols].tolist())
                 changed = feasible = True
     if not feasible:
         raise QuantizationError(f"rounded pilots at period {t} stay infeasible after walking rates down")
-    return rates
+    return {evse_id: float(vec[i]) for evse_id, i in col.items()}
 
 
 def rampdown_update(

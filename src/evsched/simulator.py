@@ -119,25 +119,46 @@ class SimResult:
     voltage: float
     session_ids: list[str]
     sessions: list[Session]
-    pilots: np.ndarray  # (S, K) amps
-    measured: np.ndarray  # (S, K) amps
+    # Applied pilots and drawn currents over each session's stay only, session
+    # after session in order, in amps; ``pilots`` and ``measured`` spread them
+    # over (S, K). Zeros outside the stays are not kept: on a week of short
+    # sessions they would be most of a dense matrix.
+    pilot_trace: np.ndarray
+    measured_trace: np.ndarray
     requested: np.ndarray  # (S,) amp-periods
     delivered: np.ndarray  # (S,) amp-periods
     net_load_kw: np.ndarray  # (K,)
     constraint_ids: list[str]
     aggregates: np.ndarray  # (L, K) measured-aggregate magnitudes, amps
-    limits: np.ndarray  # (L, K)
+    limits: np.ndarray  # (L, K), read-only
     audit: dict[str, int]
     billing: BillingResult | None
     solve_count: int = 0
     fallback_count: int = 0
 
     @property
+    def pilots(self) -> np.ndarray:
+        """(S, K) applied pilots in amps, zero outside each session's stay; built on each access."""
+        return self._spread(self.pilot_trace)
+
+    @property
+    def measured(self) -> np.ndarray:
+        """(S, K) drawn currents in amps, laid out like ``pilots``."""
+        return self._spread(self.measured_trace)
+
+    def _spread(self, trace: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(self.sessions), self.periods))
+        out[_stays(self.sessions, self.periods)] = trace
+        return out
+
+    @property
     def demand_met(self) -> float:
         total = float(self.requested.sum())
         if total <= 0:
             return 1.0
-        return float(self.delivered.sum()) / total
+        # A battery stops at its request, but its draws summed in another order
+        # than it accumulated them can overshoot the request by rounding.
+        return float(np.minimum(self.delivered, self.requested).sum()) / total
 
     @property
     def delivered_kwh(self) -> float:
@@ -145,6 +166,14 @@ class SimResult:
 
     def audit_violations(self) -> int:
         return sum(self.audit.values())
+
+
+def _stays(sessions: Sequence[Session], periods: int) -> np.ndarray:
+    """(S, K) mask of the periods [arrival, departure) each session is plugged in."""
+    k = np.arange(periods)
+    arrival = np.array([s.arrival for s in sessions], dtype=int)
+    departure = np.array([s.departure for s in sessions], dtype=int)
+    return (k >= arrival[:, None]) & (k < departure[:, None])
 
 
 def _validate_sessions(network: ChargingNetwork, sessions: Sequence[Session]) -> None:
@@ -197,7 +226,6 @@ def run(
     net_load_kw = np.zeros(K)
     L = len(network.constraints)
     aggregates = np.zeros((L, K))
-    limits = np.zeros((L, K))
     audit = {"network": 0, "pilot_not_allowed": 0, "overdraw": 0, "post_departure": 0}
 
     rampdown_on = config.rampdown if config.rampdown is not None else not scenario.ideal_battery
@@ -265,7 +293,6 @@ def run(
         for sid, state in states.items():
             measured_by_evse[state.evse.id] = measured_mat[sid_row[sid], k]
         for li, c in enumerate(network.constraints):
-            limits[li, k] = c.limit_at(k)
             aggregates[li, k] = abs(network.aggregate_phasor(c.id, measured_by_evse, k))
         net_load_kw[k] = measured_mat[:, k].sum() * kw_per_amp
         if meter is not None:
@@ -278,6 +305,7 @@ def run(
         )
     )
 
+    stays = _stays(sessions, K)
     billing = None
     delivered = measured_mat.sum(axis=1)
     if config.tariff is not None:
@@ -299,14 +327,14 @@ def run(
         voltage=network.nominal_voltage,
         session_ids=[s.id for s in sessions],
         sessions=list(sessions),
-        pilots=pilots_mat,
-        measured=measured_mat,
+        pilot_trace=pilots_mat[stays],
+        measured_trace=measured_mat[stays],
         requested=np.array([s.requested_energy for s in sessions]),
         delivered=delivered,
         net_load_kw=net_load_kw,
         constraint_ids=[c.id for c in network.constraints],
         aggregates=aggregates,
-        limits=limits,
+        limits=network.limit_profile(K),
         audit=audit,
         billing=billing,
         solve_count=getattr(algorithm, "solve_count", 0),

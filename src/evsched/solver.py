@@ -35,9 +35,11 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+
+# scipy takes about 30 MB and a quarter of a second to import, and only a
+# solve needs it: the baselines and the simulator never do. ``solve`` binds
+# these names on its first call.
+sla = sp = spla = None
 
 __all__ = [
     "LinExpr",
@@ -434,6 +436,14 @@ def _step_length(s: np.ndarray, ds: np.ndarray, z: np.ndarray, dz: np.ndarray, t
     return alpha
 
 
+def _import_scipy() -> None:
+    global sla, sp, spla
+    if spla is None:
+        import scipy.linalg as sla
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
+
 def _ipm_qp(P_diag, q, G, h, lower, upper, A, b, x0, feas_tol=1e-8, max_iter=_INNER_MAX_ITER):
     """Minimize 1/2 x'diag(P)x + q'x  s.t.  Gx <= h, lower <= x <= upper, Ax = b.
 
@@ -617,6 +627,7 @@ def solve(program: ConvexProgram, tol: float = 1e-4, max_iter: int = 50) -> Solu
     still returned).
     """
     program.validate()
+    _import_scipy()
     inner_tol = min(1e-8, tol * 1e-2)
     P, q, lower, upper, rows, A, b = _assemble(program)
     if len(rows) == 0 and not (np.isfinite(lower).any() or np.isfinite(upper).any()):

@@ -2,8 +2,10 @@
 
 Nothing here reuses the package's solution paths: the grid search evaluates
 every grid point by broadcasting one array axis per variable (no solver code,
-no relaxation, no cuts), the phasor sum is plain cmath, and the battery tail
-is the direct recursion. Tests compare package output against these.
+no relaxation, no cuts), the phasor sum is plain cmath, the battery tail is
+the direct recursion, and the greedy pilot references find each rate by
+probing ``ChargingNetwork.is_feasible`` one trial vector at a time (no rate
+windows). Tests compare package output against these.
 """
 
 from __future__ import annotations
@@ -14,7 +16,19 @@ import math
 
 import numpy as np
 
+from evsched.network import (
+    PHASE_AB,
+    PHASE_BC,
+    PHASE_CA,
+    ChargingNetwork,
+    NetworkConstraint,
+    aerovironment,
+    clippercreek,
+    continuous_evse,
+)
+from evsched.scheduler import EvState
 from evsched.solver import ConvexProgram
+from evsched.workload import Session
 
 
 def phasor_sum(coefs, angles_deg, rates, background=0j) -> complex:
@@ -112,3 +126,195 @@ def battery_tail_energy(capacity: float, max_current: float, tail_start: float, 
         rate = min(rate, capacity - charge)
         charge += rate
     return charge - start_charge
+
+
+def random_site(rng: np.random.Generator):
+    """A small oversubscribed site of mixed hardware and the EVs plugged in at one period.
+
+    Rows carry signed coefficients with some stalls left out, limits are
+    scalars or short per-period arrays, and some rows carry a background
+    phasor. EV states vary need, stay and the rampdown bound.
+    """
+    n = int(rng.integers(3, 9))
+    makers = (
+        lambda k, ph: aerovironment(f"E{k}", ph),
+        lambda k, ph: clippercreek(f"E{k}", ph),
+        lambda k, ph: continuous_evse(f"E{k}", float(rng.choice([16.0, 32.0, 40.0])), ph),
+    )
+    evses = [makers[int(rng.integers(3))](k, float(rng.choice([PHASE_AB, PHASE_BC, PHASE_CA]))) for k in range(n)]
+    constraints = []
+    for li in range(int(rng.integers(1, 5))):
+        coefs = {e.id: float(rng.choice([1.0, -1.0, 0.5, -0.5, 0.25])) for e in evses if rng.random() < 0.7}
+        limit = rng.uniform(10.0, 25.0 * n) if rng.random() < 0.6 else rng.uniform(10.0, 25.0 * n, int(rng.integers(2, 6)))
+        background = complex(*rng.uniform(-15.0, 15.0, 2)) if rng.random() < 0.4 else 0j
+        constraints.append(NetworkConstraint(f"c{li}", coefs, limit, background))
+    network = ChargingNetwork(evses, constraints)
+    active = []
+    for k, e in enumerate(evses):
+        if rng.random() < 0.8:
+            arrival = int(rng.integers(0, 5))
+            state = EvState.start(Session(f"s{k}", e.id, arrival, arrival + int(rng.integers(1, 30)), float(rng.uniform(1.0, 300.0))), e)
+            state.remaining_energy = float(rng.uniform(0.5, 1.0)) * state.remaining_energy
+            if rng.random() < 0.3:
+                state.pilot_upper_bound = float(rng.uniform(4.0, e.max_pilot))
+            active.append(state)
+    return network, active
+
+
+# -- greedy pilots by probing ---------------------------------------------------
+#
+# The baselines, the minimum-rate fallback and quantize-and-reclaim as they
+# were written before rate windows: every candidate rate is one
+# ``is_feasible`` call on a copied rate dict, and the continuous baselines
+# bisect 40 times. Session and EVSE objects are read, never modified.
+
+
+def _probe_laxity(state) -> float:
+    bound = min(state.evse.max_pilot, state.pilot_upper_bound)
+    if bound <= 0:
+        return float(state.remaining_duration)
+    return state.remaining_duration - state.remaining_energy / bound
+
+
+def _probe_cap(state, quantized: bool) -> float:
+    bound = min(state.evse.max_pilot, state.pilot_upper_bound)
+    need = state.remaining_energy
+    if need >= bound:
+        return bound
+    if quantized:
+        return min(state.evse.ceil_rate(need), bound)
+    return need
+
+
+def _probe_min(state) -> float:
+    return min(state.evse.min_rate, state.pilot_upper_bound, state.evse.max_pilot)
+
+
+def probe_minimum_rate_fallback(active, network, priority, t, mode, tol):
+    order = sorted(active, key=lambda s: (priority(s), s.session.arrival, s.session.id))
+    rates = {s.evse.id: 0.0 for s in active}
+    out = {}
+    for state in order:
+        step = _probe_min(state)
+        if step <= 0:
+            out[state.session.id] = 0.0
+            continue
+        rates[state.evse.id] = step
+        if network.is_feasible(rates, t, mode, tol):
+            out[state.session.id] = step
+        else:
+            rates[state.evse.id] = 0.0
+            out[state.session.id] = 0.0
+    return out
+
+
+def _probe_max_feasible(rates, state, network, cap, quantized, t, mode, tol) -> float:
+    evse = state.evse
+    base = rates[evse.id]
+
+    def ok(r: float) -> bool:
+        trial = dict(rates)
+        trial[evse.id] = r
+        return network.is_feasible(trial, t, mode, tol)
+
+    if quantized:
+        if evse.continuous:
+            candidates = [base] + list(np.arange(evse.min_nonzero_rate, cap + 1e-9, 1.0))
+        else:
+            candidates = [r for r in evse.allowable_rates if base <= r <= cap + 1e-9]
+        for r in sorted(set(candidates), reverse=True):
+            if r >= base - 1e-9 and ok(r):
+                return max(r, base)
+        return base
+    if ok(cap):
+        return cap
+    lo, hi = base, cap
+    if not ok(lo):
+        return base
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def probe_greedy_pilots(name: str, active, network, quantized: bool, t: int, mode: str, tol: float = 1e-6):
+    """``llf``, ``edf`` or ``rr`` pilots, each rate found by feasibility probes."""
+    key = {"llf": _probe_laxity, "edf": lambda s: float(s.session.departure), "rr": lambda s: float(s.session.arrival)}[name]
+    rates = {s.evse.id: 0.0 for s in active}
+    if quantized:
+        mins = {s.evse.id: _probe_min(s) for s in active}
+        if not network.is_feasible(mins, t, mode, tol):
+            return probe_minimum_rate_fallback(active, network, key, t, mode, tol)
+        rates = dict(mins)
+    if name != "rr":
+        out = {}
+        for state in sorted(active, key=lambda s: (key(s), s.session.arrival, s.session.id)):
+            best = _probe_max_feasible(rates, state, network, _probe_cap(state, quantized), quantized, t, mode, tol)
+            rates[state.evse.id] = best
+            out[state.session.id] = best
+        return out
+    order = sorted(active, key=lambda s: (s.session.arrival, s.session.id))
+    caps = {s.evse.id: _probe_cap(s, quantized) for s in active}
+    blocked: set[str] = set()
+    while len(blocked) < len(order):
+        for state in order:
+            evse = state.evse
+            if evse.id in blocked:
+                continue
+            nxt = evse.next_rate(rates[evse.id]) if quantized else rates[evse.id] + 1.0
+            if nxt is None or nxt > caps[evse.id] + 1e-9:
+                blocked.add(evse.id)
+                continue
+            trial = dict(rates)
+            trial[evse.id] = nxt
+            if network.is_feasible(trial, t, mode, tol):
+                rates[evse.id] = nxt
+            else:
+                blocked.add(evse.id)
+    return {s.session.id: rates[s.evse.id] for s in active}
+
+
+def probe_quantize_and_reclaim(desired, network, bounds, order, t, mode, tol=1e-6):
+    """Quantized rates keyed by EVSE id, or None where the package raises QuantizationError."""
+    rank = {e: i for i, e in enumerate(order)}
+    rates = {}
+    for evse_id, want in desired.items():
+        evse = network.evse(evse_id)
+        rates[evse_id] = evse.floor_rate(min(max(want, 0.0), min(bounds.get(evse_id, evse.max_pilot), evse.max_pilot)))
+    feasible, steps = True, 0
+    while not network.is_feasible(rates, t, mode, tol):
+        margins = network.soc_margins(rates, t) if mode == "soc" else network.affine_margins(rates, t)
+        row = np.abs(network.weights[int(np.argmin(margins))])
+        movable = [e for e in rates if rates[e] > 0 and row[network.evse_index[e]] > 0]
+        if not movable or steps == 16 * max(len(rates), 1):
+            feasible = False
+            break
+        steps += 1
+        victim = max(movable, key=lambda e: (row[network.evse_index[e]] * rates[e], -rank.get(e, 0)))
+        evse = network.evse(victim)
+        lower = [r for r in ([0.0] if evse.continuous else evse.allowable_rates) if r < rates[victim] - 1e-9]
+        rates[victim] = max(lower) if lower else 0.0
+    budget = sum(max(v, 0.0) for v in desired.values())
+    queue = sorted(
+        rates,
+        key=lambda e: (-round(min(max(desired[e], 0.0), bounds.get(e, math.inf)) - rates[e], 6), rank.get(e, len(order))),
+    )
+    changed = True
+    while changed:
+        changed = False
+        for evse_id in queue:
+            evse = network.evse(evse_id)
+            nxt = evse.next_rate(rates[evse_id])
+            if nxt is None or nxt > min(bounds.get(evse_id, evse.max_pilot), evse.max_pilot) + 1e-9:
+                continue
+            if sum(rates.values()) - rates[evse_id] + nxt > budget + 1e-9:
+                continue
+            trial = dict(rates)
+            trial[evse_id] = nxt
+            if network.is_feasible(trial, t, mode, tol):
+                rates[evse_id] = nxt
+                changed = feasible = True
+    return rates if feasible else None

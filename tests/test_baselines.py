@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+import evsched
 from evsched.baselines import (
     BaselineScheduler,
     edf_pilots,
@@ -10,6 +17,7 @@ from evsched.baselines import (
 from evsched.network import ChargingNetwork, NetworkConstraint, aerovironment, clippercreek, continuous_evse
 from evsched.scheduler import EvState
 from evsched.workload import Session
+from oracles import probe_greedy_pilots, random_site
 
 
 def _line(evses, limit):
@@ -107,3 +115,47 @@ def test_baselines_are_deterministic():
     states = [_state(f"s{i}", evses[i], departure=3 + i, energy=30.0 + i) for i in range(4)]
     assert llf_pilots(states, net) == llf_pilots(states, net)
     assert rr_pilots(states, net) == rr_pilots(states, net)
+
+
+@pytest.mark.parametrize("name, pilots", [("llf", llf_pilots), ("edf", edf_pilots), ("rr", rr_pilots)])
+def test_baselines_match_feasibility_probing(name, pilots):
+    """Rate windows grant what probing is_feasible one trial at a time granted."""
+    rng = np.random.default_rng(61)
+    paths = {"greedy": 0, "fallback": 0}  # quantized: do the pinned minimums fit?
+    for _ in range(40):
+        network, active = random_site(rng)
+        if not active:
+            continue
+        t = int(rng.integers(0, 6))
+        for mode in ("affine", "soc"):
+            for quantized in (False, True):  # scenarios II and III
+                got = pilots(active, network, quantized, t, mode)
+                want = probe_greedy_pilots(name, active, network, quantized, t, mode)
+                assert got.keys() == want.keys()
+                if quantized:
+                    assert got == want
+                    mins = {s.evse.id: min(s.evse.min_rate, s.pilot_upper_bound, s.evse.max_pilot) for s in active}
+                    paths["greedy" if network.is_feasible(mins, t, mode) else "fallback"] += 1
+                else:
+                    assert max(abs(got[k] - want[k]) for k in want) <= 1e-6
+    assert paths["greedy"] > 4 * paths["fallback"] > 0
+
+
+def test_baselines_import_no_scipy():
+    """The baselines and the simulator run without loading scipy, which only solves need."""
+    code = """
+import sys
+import evsched.experiments, evsched.baselines
+cfg = evsched.experiments.resolve_config({
+    "seed": 3, "algorithm": "llf", "scenario": "III",
+    "network": {"preset": "synthetic", "n_evse": 6, "transformer_kw": 15.0},
+    "workload": {"generate": {"days": ["tue"], "stats": "caltech", "session_scale": 0.2}},
+})
+result = evsched.experiments.simulate_once(cfg)
+assert result.pilots.any(), "no pilot was ever granted"
+print("scipy" in sys.modules)
+"""
+    src = str(Path(evsched.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from evsched.network import (
     PHASE_AB,
@@ -77,6 +79,93 @@ def test_time_varying_limit():
     assert net.check_soc_feasible({"a": 15.0}, t=1).all()
     # periods past the end reuse the last value
     assert net.check_soc_feasible({"a": 15.0}, t=5).all()
+
+
+def test_period_tables_clamp_each_constraint_to_its_own_last_value():
+    a, b = continuous_evse("a", 32.0, PHASE_AB), continuous_evse("b", 32.0, PHASE_BC)
+    short = NetworkConstraint("short", {"a": 1.0}, np.array([10.0, 20.0]), background=np.array([1 + 1j, 2 - 1j, 3j]))
+    long = NetworkConstraint("long", {"a": 0.5, "b": -1.0}, np.array([30.0, 31.0, 32.0, 33.0]), background=4 - 2j)
+    net = ChargingNetwork([a, b], [short, long])
+    rates = {"a": 7.0, "b": 5.0}
+    for t in range(8):  # past the end of both arrays from t = 4 on
+        for li, c in enumerate((short, long)):
+            agg = phasor_sum([c.coefficients.get("a", 0.0), c.coefficients.get("b", 0.0)], [PHASE_AB, PHASE_BC],
+                             [7.0, 5.0], c.background_at(t))
+            assert net.aggregate_phasor(c.id, rates, t) == pytest.approx(agg, abs=1e-12)
+            assert net.soc_margins(rates, t)[li] == pytest.approx(c.limit_at(t) - abs(agg), abs=1e-12)
+            affine = abs(c.coefficients.get("a", 0.0)) * 7.0 + abs(c.coefficients.get("b", 0.0)) * 5.0 + abs(c.background_at(t))
+            assert net.affine_margins(rates, t)[li] == pytest.approx(c.limit_at(t) - affine, abs=1e-12)
+    assert [net.soc_margins(rates, t)[0] + abs(net.aggregate_phasor("short", rates, t)) for t in (0, 1, 2, 9)] == [10.0, 20.0, 20.0, 20.0]
+    with pytest.raises(ValueError):
+        ChargingNetwork([a], [NetworkConstraint("empty", {"a": 1.0}, np.array([]))])
+
+
+def test_weights_are_read_only():
+    net = two_phase_network()
+    assert net.weights[0] == pytest.approx(np.exp(1j * np.radians([PHASE_AB, PHASE_CA])) * [1.0, -1.0])
+    with pytest.raises(ValueError):
+        net.weights[0, 0] = 0.0
+
+
+@st.composite
+def _window_cases(draw):
+    """A random site, one stall, the other stalls' rates, a period and a mode."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 4))
+    amps = st.floats(-40.0, 40.0, allow_nan=False)
+    evses = [continuous_evse(f"e{k}", 64.0, draw(st.floats(-180.0, 180.0))) for k in range(n)]
+    constraints = []
+    for li in range(m):
+        # 0 leaves the stall out of the row; signs and sizes vary otherwise.
+        weight = st.sampled_from([0.0, 1.0, -1.0, 0.25, -0.5]) | st.floats(-2.0, -0.05) | st.floats(0.05, 2.0)
+        coefs = {f"e{k}": c for k in range(n) if (c := draw(weight)) != 0.0}
+        periods = draw(st.integers(1, 3))
+        limit = np.array(draw(st.lists(st.floats(0.0, 120.0), min_size=periods, max_size=periods)))
+        background = np.array([complex(draw(amps), draw(amps)) for _ in range(draw(st.integers(1, 3)))])
+        constraints.append(NetworkConstraint(f"c{li}", coefs, limit, background))
+    net = ChargingNetwork(evses, constraints)
+    vec = np.array(draw(st.lists(st.floats(0.0, 40.0), min_size=n, max_size=n)))
+    return net, vec, draw(st.integers(0, n - 1)), draw(st.integers(0, 4)), draw(st.sampled_from(["affine", "soc"]))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_window_cases(), st.lists(st.floats(-80.0, 80.0), min_size=8, max_size=8))
+def test_rate_window_agrees_with_is_feasible(case, probes):
+    net, vec, i, t, mode = case
+    lo, hi = net.rate_window(vec, i, t, mode, 1e-6)
+    assert not (math.isnan(lo) or math.isnan(hi))
+    trials = list(probes)
+    for end in (lo, hi):
+        if math.isfinite(end):
+            trials += [end - 1e-3, end - 1e-8, end, end + 1e-8, end + 1e-3]
+    if math.isfinite(lo) and math.isfinite(hi):
+        trials.append(0.5 * (lo + hi))
+    for r in trials:
+        trial = vec.copy()
+        trial[i] = r
+        inside = lo <= r <= hi
+        near_end = min(abs(r - lo), abs(r - hi)) <= 1e-9
+        if not near_end:
+            assert net.is_feasible(trial, t, mode, 1e-6) == inside, (r, lo, hi)
+
+
+def test_rate_window_of_one_line():
+    net = two_phase_network(limit=18.0)
+    # affine: |a| + 10 <= 18 + tol; soc: |a e^{j30} - 10 e^{j150}| <= 18 + tol
+    lo, hi = net.rate_window(np.array([0.0, 10.0]), 0, mode="affine", tol=0.0)
+    assert (lo, hi) == pytest.approx((-8.0, 8.0))
+    lo, hi = net.rate_window(np.array([0.0, 10.0]), 0, mode="soc", tol=0.0)
+    for r in (lo, hi):
+        assert abs(net.aggregate_phasor("line", [r, 10.0])) == pytest.approx(18.0)
+    assert lo < 0 < hi
+    # a row the stall is not in must hold already
+    c = NetworkConstraint("b-only", {"b": 1.0}, 5.0)
+    net = ChargingNetwork(net.evses, [*net.constraints, c])
+    for mode in ("affine", "soc"):
+        lo, hi = net.rate_window(np.array([0.0, 10.0]), 0, mode=mode)
+        assert lo > hi
+    with pytest.raises(ValueError):
+        net.rate_window(np.zeros(2), 0, mode="euclid")
 
 
 def test_background_load_consumes_headroom():

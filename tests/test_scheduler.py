@@ -30,6 +30,7 @@ from evsched.scheduler import (
 )
 from evsched.solver import MAX_ITER, OPTIMAL, Solution, solve
 from evsched.workload import Session
+from oracles import probe_minimum_rate_fallback, probe_quantize_and_reclaim, random_site
 
 
 def _line(evses, limit, cid="line"):
@@ -191,6 +192,36 @@ def test_quantize_continuous_passthrough():
     net = _line([e1], 40.0)
     assert quantize_and_reclaim({"E1": 17.3}, net)["E1"] == pytest.approx(17.3)
     assert quantize_and_reclaim({"E1": 3.0}, net)["E1"] == 0.0  # below min nonzero rate
+
+
+def test_quantize_and_fallback_match_feasibility_probing():
+    """Rate windows accept the same pilots that probing is_feasible accepted."""
+    rng = np.random.default_rng(17)
+    walked = 0  # instances whose floored rates are infeasible, so the walk-down runs
+    for _ in range(60):
+        network, active = random_site(rng)
+        t = int(rng.integers(0, 6))
+        ids = [s.evse.id for s in active]
+        # relaxed rates up to a fifth above the hardware, as numpy and as plain floats
+        desired = {e: rng.uniform(-1.0, 1.2) * network.evse(e).max_pilot for e in ids}
+        if rng.random() < 0.5:
+            desired = {e: float(v) for e, v in desired.items()}
+        bounds = {e: float(rng.uniform(0.0, 40.0)) for e in ids if rng.random() < 0.3}
+        order = [ids[k] for k in rng.permutation(len(ids))]
+        evse = network.evse
+        floored = {e: evse(e).floor_rate(min(max(v, 0.0), bounds.get(e, evse(e).max_pilot), evse(e).max_pilot)) for e, v in desired.items()}
+        for mode in ("affine", "soc"):
+            want = probe_quantize_and_reclaim(desired, network, bounds, order, t, mode)
+            try:
+                got = quantize_and_reclaim(desired, network, bounds=bounds, order=order, t=t, mode=mode)
+            except QuantizationError:
+                got = None
+            assert got == want
+            walked += not network.is_feasible(floored, t, mode)
+            assert minimum_rate_fallback(active, network, laxity, t, mode) == probe_minimum_rate_fallback(
+                active, network, laxity, t, mode, 1e-6
+            )
+    assert walked > 10
 
 
 def test_rampdown_worked_examples():

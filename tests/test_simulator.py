@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -192,3 +194,32 @@ def test_empty_workload_is_a_clean_noop():
     assert res.periods == 0
     assert res.demand_met == 1.0
     assert res.audit_violations() == 0
+
+
+def test_demand_met_ignores_rounding_above_a_request():
+    net, sessions = _small_site()
+    res = run(net, sessions, BaselineScheduler("llf", net), SCENARIOS["II"])
+    over = dataclasses.replace(res, delivered=np.nextafter(res.requested, np.inf))
+    assert over.demand_met == 1.0
+    short = dataclasses.replace(res, delivered=res.requested * np.array([1.0, 0.5, 1.0, 1.0]))
+    assert short.demand_met == pytest.approx(1.0 - 0.5 * 400.0 / 1300.0)
+
+
+def test_result_keeps_traces_over_stays_and_shares_limits():
+    evses = [aerovironment(f"E{i}", 0.0) for i in range(3)]
+    stepped = NetworkConstraint("stepped", {e.id: 1.0 for e in evses}, np.array([30.0, 40.0, 50.0]))
+    net = ChargingNetwork(evses, [stepped, NetworkConstraint("flat", {"E0": 1.0}, 20.0)])
+    sessions = [Session("a", "E0", 0, 6, 60.0), Session("b", "E1", 2, 9, 90.0), Session("c", "E2", 4, 5, 10.0)]
+    res = run(net, sessions, BaselineScheduler("llf", net), SCENARIOS["II"])
+    assert res.pilot_trace.shape == res.measured_trace.shape == (6 + 7 + 1,)
+    stays = np.zeros((3, res.periods), dtype=bool)
+    for i, s in enumerate(res.sessions):
+        stays[i, s.arrival : s.departure] = True
+    for dense, trace in ((res.pilots, res.pilot_trace), (res.measured, res.measured_trace)):
+        assert not dense[~stays].any()
+        assert dense[stays].tolist() == trace.tolist()
+    assert res.pilot_trace.any()
+    assert res.limits.shape == (2, res.periods)
+    assert res.limits.tolist() == [[stepped.limit_at(k) for k in range(res.periods)], [20.0] * res.periods]
+    with pytest.raises(ValueError):
+        res.limits[0, 0] = 0.0
