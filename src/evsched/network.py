@@ -223,11 +223,14 @@ class ChargingNetwork:
             raise ValueError(f"rate vector has shape {vec.shape}, expected ({len(self.evses)},)")
         return vec
 
+    def aggregates(self, rates: Mapping[str, float] | Sequence[float], t: int = 0) -> np.ndarray:
+        """Complex aggregate current of every constraint at period t, background included."""
+        return self._weights @ self._as_vector(rates) + self._backgrounds_at(t)
+
     def aggregate_phasor(self, constraint_id: str, rates: Mapping[str, float] | Sequence[float], t: int = 0) -> complex:
         """Complex aggregate current of one constraint, background included."""
         li = self.constraint_index[constraint_id]
-        vec = self._as_vector(rates)
-        return complex(self._weights[li] @ vec) + complex(self._backgrounds_at(t)[li])
+        return complex(self.aggregates(rates, t)[li])
 
     def limit_profile(self, periods: int) -> np.ndarray:
         """Read-only (m, periods) limits: column t holds every constraint's limit at period t."""
@@ -244,31 +247,18 @@ class ChargingNetwork:
     def _backgrounds_at(self, t: int) -> np.ndarray:
         return self._background_table[:, min(t, self._background_table.shape[1] - 1)]
 
-    def soc_margins(self, rates: Mapping[str, float] | Sequence[float], t: int = 0) -> np.ndarray:
-        """Per-constraint slack c_l - |aggregate|; negative means violated."""
-        vec = self._as_vector(rates)
-        agg = self._weights @ vec + self._backgrounds_at(t)
-        return self._limits_at(t) - np.abs(agg)
-
-    def affine_margins(self, rates: Mapping[str, float] | Sequence[float], t: int = 0) -> np.ndarray:
-        vec = self._as_vector(rates)
-        agg = self._abs_weights @ np.abs(vec) + np.abs(self._backgrounds_at(t))
-        return self._limits_at(t) - agg
-
-    def check_soc_feasible(self, rates, t: int = 0, tol: float = 1e-6) -> np.ndarray:
-        """Boolean per constraint: magnitude form satisfied within tol amps."""
-        return self.soc_margins(rates, t) >= -tol
-
-    def check_affine_feasible(self, rates, t: int = 0, tol: float = 1e-6) -> np.ndarray:
-        """Boolean per constraint: conservative affine form satisfied within tol amps."""
-        return self.affine_margins(rates, t) >= -tol
+    def margins(self, rates: Mapping[str, float] | Sequence[float], t: int = 0, mode: str = "soc") -> np.ndarray:
+        """Per-constraint slack c_l(t) - |aggregate| (``soc``) or its affine bound; negative means violated."""
+        if mode == "soc":
+            return self._limits_at(t) - np.abs(self.aggregates(rates, t))
+        if mode == "affine":
+            vec = self._as_vector(rates)
+            return self._limits_at(t) - (self._abs_weights @ np.abs(vec) + np.abs(self._backgrounds_at(t)))
+        raise ValueError(f"unknown feasibility mode {mode!r}")
 
     def is_feasible(self, rates, t: int = 0, mode: str = "soc", tol: float = 1e-6) -> bool:
-        if mode == "soc":
-            return bool(self.check_soc_feasible(rates, t, tol).all())
-        if mode == "affine":
-            return bool(self.check_affine_feasible(rates, t, tol).all())
-        raise ValueError(f"unknown feasibility mode {mode!r}")
+        """Every constraint holds in the given form within tol amps."""
+        return bool((self.margins(rates, t, mode) >= -tol).all())
 
     def rate_window(self, vec: np.ndarray, i: int, t: int = 0, mode: str = "soc", tol: float = 1e-6) -> tuple[float, float]:
         """Interval [lo, hi] of EVSE i's rate that keeps every constraint within tol.

@@ -8,6 +8,12 @@ Only the first period of the resulting schedule is ever applied; feedback
 about what the batteries actually drew arrives through the EV states before
 the next recomputation.
 
+One builder, ``build_program``, assembles that program over a list of session
+windows. The lookahead program (``build_opt``) and the hindsight benchmark
+(``hindsight_windows``) differ only in the windows they pass. Each utility
+component carries its own meaning: ``add_to`` adds its term to a program and
+``value`` evaluates the same term on a realized charging profile.
+
 For hardware that only accepts a finite pilot set, the relaxed first-period
 rates are rounded down and the freed-up headroom is handed back out in order
 of who lost the most to rounding. A separate rampdown rule tracks pilots
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -51,9 +57,11 @@ __all__ = [
     "active_set",
     "laxity",
     "minimum_rate_fallback",
+    "Profile",
+    "Window",
+    "build_program",
     "build_opt",
-    "build_offline",
-    "OfflineVarMap",
+    "hindsight_windows",
     "quantize_and_reclaim",
     "QuantizationError",
     "rampdown_update",
@@ -68,21 +76,67 @@ ENERGY_EPS = 1e-9
 
 
 # -- utility components ------------------------------------------------------
+#
+# ``add_to`` adds a component's weighted term to a program; ``value`` is the
+# same term on a realized profile, signed as it enters the maximized objective.
+
+
+@dataclass(frozen=True, eq=False)
+class Profile:
+    """A finished run's charging profile, as utility components value it."""
+
+    rates: np.ndarray  # (S, K) amps per session and period
+    requested: np.ndarray  # (S,) amp-periods
+    net_amps: np.ndarray  # (K,) site net load with its background
+    kappa: float  # kWh per amp-period
+    kw_per_amp: float
 
 
 @dataclass(frozen=True)
 class QuickCharge:
     """Front-loads energy: each amp in period t earns (T - t + 1) / T."""
 
+    def add_to(self, prog: ConvexProgram, ctx: "VarMap", weight: float) -> None:
+        for w, off in zip(ctx.windows, ctx.offsets):
+            tt = np.arange(w.first, w.first + w.length)
+            prog.linear_cost[off : off + w.length] += weight * (ctx.horizon - tt) / ctx.horizon
+
+    def value(self, profile: Profile, weight: float) -> float:
+        K = profile.rates.shape[1]
+        w = (K - np.arange(K)) / K
+        return weight * float(profile.rates.sum(axis=0) @ w)
+
 
 @dataclass(frozen=True)
 class EqualShare:
     """Penalizes squared rates; spreads current over identical EVs."""
 
+    def add_to(self, prog: ConvexProgram, ctx: "VarMap", weight: float) -> None:
+        prog.quad_cost[: ctx.n_rates] += weight
+
+    def value(self, profile: Profile, weight: float) -> float:
+        return -weight * float((profile.rates**2).sum())
+
 
 @dataclass(frozen=True)
 class LoadVariance:
-    """Penalizes squared net site load; flattens the profile."""
+    """Penalizes squared net site load; flattens the profile.
+
+    In a program each period with rate variables gets an auxiliary y_t, tied
+    to the period's net load by an equality row and penalized by y_t^2.
+    """
+
+    def add_to(self, prog: ConvexProgram, ctx: "VarMap", weight: float) -> None:
+        for slot, (t, idx) in enumerate(ctx.period_vars.items()):
+            yi = ctx.n_rates + slot
+            prog.quad_cost[yi] += weight
+            prog.add_eq(np.append(idx, yi), np.append(-np.ones(len(idx)), 1.0), ctx.background[t])
+        for t in range(ctx.horizon):
+            if t not in ctx.period_vars:
+                prog.objective_const -= weight * ctx.background[t] ** 2
+
+    def value(self, profile: Profile, weight: float) -> float:
+        return -weight * float((profile.net_amps**2).sum())
 
 
 @dataclass(frozen=True)
@@ -94,6 +148,21 @@ class EnergyCost:
 
     revenue_per_kwh: float
     price: Callable[[int], float]
+
+    def add_to(self, prog: ConvexProgram, ctx: "VarMap", weight: float) -> None:
+        const = 0.0
+        for t in range(ctx.horizon):
+            price = self.price(ctx.start + t)
+            if t in ctx.period_vars:
+                prog.linear_cost[ctx.period_vars[t]] += weight * ctx.kappa * (self.revenue_per_kwh - price)
+            const -= weight * ctx.kappa * price * ctx.background[t]
+        prog.objective_const += const
+
+    def value(self, profile: Profile, weight: float) -> float:
+        prices = np.array([self.price(t) for t in range(profile.rates.shape[1])])
+        return weight * profile.kappa * (
+            self.revenue_per_kwh * float(profile.rates.sum()) - float(prices @ profile.net_amps)
+        )
 
 
 @dataclass(frozen=True)
@@ -108,12 +177,58 @@ class DemandCharge:
     price_per_kw: float
     threshold_kw: float = 0.0
 
+    def add_to(self, prog: ConvexProgram, ctx: "VarMap", weight: float) -> None:
+        floor_kw = self.threshold_kw
+        exprs = []
+        for t in range(ctx.horizon):
+            bg_kw = ctx.background[t] * ctx.kw_per_amp
+            if t in ctx.period_vars:
+                idx = ctx.period_vars[t]
+                exprs.append(LinExpr(idx, np.full(len(idx), ctx.kw_per_amp), bg_kw))
+            else:
+                floor_kw = max(floor_kw, bg_kw)
+        exprs.append(LinExpr(np.array([], dtype=int), np.array([]), floor_kw))
+        prog.epigraph_terms.append(EpigraphTerm(weight * self.price_per_kw, exprs))
+
+    def value(self, profile: Profile, weight: float) -> float:
+        peak_kw = max(float(profile.net_amps.max(initial=0.0)) * profile.kw_per_amp, self.threshold_kw)
+        return -weight * self.price_per_kw * peak_kw
+
 
 @dataclass(frozen=True)
 class NonCompletion:
-    """Penalizes undelivered energy via a p-norm over per-EV shortfalls."""
+    """Penalizes undelivered energy via a p-norm over per-EV shortfalls, p in {1, 2, inf}."""
 
     p: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.p not in (1, 2, math.inf):
+            raise ValueError("non-completion norm supports p in {1, 2, inf}")
+
+    def add_to(self, prog: ConvexProgram, ctx: "VarMap", weight: float) -> None:
+        deficits = [
+            LinExpr(np.arange(off, off + w.length), np.ones(w.length), -w.energy)
+            for w, off in zip(ctx.windows, ctx.offsets)
+        ]
+        if self.p == 1:
+            for d in deficits:
+                prog.epigraph_terms.append(EpigraphTerm(weight, [d, _negated(d)]))
+        elif self.p == 2:
+            prog.norm_terms.append(NormTerm(weight, deficits))
+        else:
+            prog.epigraph_terms.append(EpigraphTerm(weight, [e for d in deficits for e in (d, _negated(d))]))
+
+    def value(self, profile: Profile, weight: float) -> float:
+        deficit = np.abs(profile.rates.sum(axis=1) - profile.requested)
+        if self.p == 1:
+            return -weight * float(deficit.sum())
+        if self.p == 2:
+            return -weight * float(np.linalg.norm(deficit))
+        return -weight * float(deficit.max(initial=0.0))
+
+
+def _negated(e: LinExpr) -> LinExpr:
+    return LinExpr(e.idx, -e.coef, -e.const)
 
 
 Component = QuickCharge | EqualShare | LoadVariance | EnergyCost | DemandCharge | NonCompletion
@@ -129,11 +244,8 @@ class UtilityConfig:
     def __post_init__(self) -> None:
         if not self.terms:
             raise ValueError("utility needs at least one term")
-        for comp, weight in self.terms:
-            if weight <= 0:
-                raise ValueError("utility weights must be positive")
-            if isinstance(comp, NonCompletion) and comp.p < 1:
-                raise ValueError("non-completion norm needs p >= 1")
+        if any(weight <= 0 for _, weight in self.terms):
+            raise ValueError("utility weights must be positive")
 
     def background(self, t: int) -> float:
         return 0.0 if self.background_amps is None else float(self.background_amps(t))
@@ -215,24 +327,126 @@ def minimum_rate_fallback(
 # -- program construction ------------------------------------------------------
 
 
-@dataclass
-class VarMap:
-    """Where each EV's per-period rate variables live in the program vector."""
+@dataclass(frozen=True, eq=False)
+class Window:
+    """One session's run of rate variables in a program.
 
-    session_ids: list[str]
-    offsets: dict[str, int]
-    lengths: dict[str, int]
+    The session may charge in in-program periods ``first`` .. ``first +
+    length - 1``, at most ``upper[t - first]`` amps in period t, at least
+    ``lower`` amps in its first period, and ``energy`` amp-periods in all.
+    """
+
+    session_id: str
+    evse: Evse
+    first: int
+    upper: np.ndarray
+    lower: float
+    energy: float
+
+    @property
+    def length(self) -> int:
+        return len(self.upper)
+
+
+@dataclass(eq=False)
+class VarMap:
+    """Where each window's rate variables live, and what utility components read.
+
+    Window j's rates are ``x[offsets[j] : offsets[j] + length]``; the first
+    ``n_rates`` entries of x hold every window's rates. In-program period t is
+    absolute period ``start + t``.
+    """
+
+    windows: list[Window]
+    offsets: list[int]
     horizon: int
-    upper: dict[str, np.ndarray]
+    start: int
+    n_rates: int
+    period_vars: dict[int, np.ndarray]  # rate variables per occupied period, ascending t
+    background: list[float]  # the site's non-EV net load per period, amps
+    kappa: float  # kWh per amp-period
+    kw_per_amp: float
 
     def schedule(self, x: np.ndarray) -> dict[str, np.ndarray]:
-        """Per-EV rate vectors padded with zeros out to the horizon."""
+        """Per-session rates over the program's periods, clipped to each window's bounds, zero outside it."""
         out = {}
-        for sid in self.session_ids:
-            off, ln = self.offsets[sid], self.lengths[sid]
-            rates = np.clip(x[off : off + ln], 0.0, self.upper[sid])
-            out[sid] = np.concatenate([rates, np.zeros(self.horizon - ln)])
+        for w, off in zip(self.windows, self.offsets):
+            vec = np.zeros(self.horizon)
+            vec[w.first : w.first + w.length] = np.clip(x[off : off + w.length], 0.0, w.upper)
+            out[w.session_id] = vec
         return out
+
+
+def build_program(
+    windows: Sequence[Window],
+    utility: UtilityConfig,
+    network: ChargingNetwork,
+    horizon: int,
+    *,
+    start_period: int = 0,
+    constraint_mode: str = "affine",
+    period_minutes: float = 5.0,
+) -> tuple[ConvexProgram, VarMap]:
+    """Assemble the scheduling program over the given session windows.
+
+    Variables are each window's per-period rates, window after window in the
+    order given, then one auxiliary per occupied period when the utility has
+    a ``LoadVariance`` term. Each window gets its bounds and an energy row;
+    network rows/disks are emitted per period over the windows present, in
+    the requested constraint mode; then each utility component adds its term.
+    Every window must lie within periods 0 .. horizon - 1.
+    """
+    if constraint_mode not in ("affine", "soc"):
+        raise ValueError(f"unknown constraint mode {constraint_mode!r}")
+    if horizon < 1:
+        raise ValueError("horizon must be at least one period")
+    offsets, n = [], 0
+    for w in windows:
+        offsets.append(n)
+        n += w.length
+    if not windows or any(w.length < 1 for w in windows):
+        raise ValueError("program needs at least one window, each at least one period long")
+    if n > 2_000_000:
+        raise MemoryError(f"program needs {n} rate variables; split the window into shorter spans")
+
+    present: dict[int, list[int]] = {}  # period -> windows present, in order
+    for j, w in enumerate(windows):
+        for t in range(w.first, w.first + w.length):
+            present.setdefault(t, []).append(j)
+    period_vars = {
+        t: np.array([offsets[j] + t - windows[j].first for j in present[t]]) for t in sorted(present)
+    }
+    n_aux = len(period_vars) if any(isinstance(c, LoadVariance) for c, _ in utility.terms) else 0
+
+    prog = ConvexProgram.empty(n + n_aux)
+    for w, off in zip(windows, offsets):
+        prog.upper[off : off + w.length] = w.upper
+        prog.lower[off] = w.lower
+        prog.add_ineq(np.arange(off, off + w.length), np.ones(w.length), w.energy)
+    prog.lower[n:] = -np.inf
+
+    col = [network.evse_index[w.evse.id] for w in windows]
+    for t, idx in period_vars.items():
+        abs_t = start_period + t
+        block = network.weights[:, [col[j] for j in present[t]]]
+        for constraint, w in zip(network.constraints, block):
+            nz = w != 0
+            if not nz.any():
+                continue
+            limit = constraint.limit_at(abs_t)
+            bg = constraint.background_at(abs_t)
+            if constraint_mode == "affine":
+                prog.add_ineq(idx[nz], np.abs(w[nz]), limit - abs(bg))
+            else:
+                prog.add_disk(LinExpr(idx[nz], w[nz].real, bg.real), LinExpr(idx[nz], w[nz].imag, bg.imag), limit)
+
+    voltage = network.nominal_voltage
+    background = [utility.background(start_period + t) for t in range(horizon)]
+    kappa = voltage / 1000.0 * period_minutes / 60.0
+    ctx = VarMap(list(windows), offsets, horizon, start_period, n, period_vars, background, kappa, voltage / 1000.0)
+    for comp, weight in utility.terms:
+        comp.add_to(prog, ctx, weight)
+    return prog, ctx
 
 
 def build_opt(
@@ -248,309 +462,38 @@ def build_opt(
 ) -> tuple[ConvexProgram, VarMap]:
     """Assemble the lookahead program for the given active EVs.
 
-    Variables are per-EV, per-period rates for the periods the EV is still
-    present (capped at the horizon); in-program period t is absolute period
-    ``start_period + t``. Network rows/disks are emitted per period in the
-    requested constraint mode. In quantized mode the first-period rate gets
-    the EVSE's minimum nonzero pilot as a lower bound.
+    Each EV's window starts at in-program period 0 (absolute period
+    ``start_period``) and lasts while it is still present, capped at the
+    horizon. Its first-period bound is its rampdown bound; in quantized mode
+    its first-period rate also gets the EVSE's minimum nonzero pilot as a
+    lower bound.
     """
-    if constraint_mode not in ("affine", "soc"):
-        raise ValueError(f"unknown constraint mode {constraint_mode!r}")
-    if horizon < 1:
-        raise ValueError("horizon must be at least one period")
-    if not active:
-        raise ValueError("no active EVs to schedule")
-
-    active = sorted(active, key=lambda s: (s.session.arrival, s.session.id))
-    lengths = {s.session.id: min(horizon, s.remaining_duration) for s in active}
-    offsets, n = {}, 0
-    for s in active:
-        offsets[s.session.id] = n
-        n += lengths[s.session.id]
-
-    lv_terms = [(c, w) for c, w in utility.terms if isinstance(c, LoadVariance)]
-    active_periods = sorted({t for s in active for t in range(lengths[s.session.id])})
-    lv_offset = n
-    n_total = n + (len(active_periods) if lv_terms else 0)
-
-    prog = ConvexProgram.empty(n_total)
-    upper_map: dict[str, np.ndarray] = {}
-    for s in active:
-        sid = s.session.id
-        off, ln = offsets[sid], lengths[sid]
-        ub = np.full(ln, s.evse.max_pilot)
-        ub[0] = min(s.evse.max_pilot, s.pilot_upper_bound)
-        prog.upper[off : off + ln] = ub
-        upper_map[sid] = ub
-        if quantized:
-            # Clamp by remaining energy so a nearly-done EV cannot make the
-            # program infeasible (lower bound above its own energy row).
-            prog.lower[off] = min(s.evse.min_rate, ub[0], s.remaining_energy)
-        prog.add_ineq(np.arange(off, off + ln), np.ones(ln), s.remaining_energy)
-    if lv_terms:
-        prog.lower[lv_offset:] = -np.inf
-
-    # Per-period network rows over the EVs present in that period.
-    evs_at: dict[int, list[EvState]] = {}
-    for s in active:
-        for t in range(lengths[s.session.id]):
-            evs_at.setdefault(t, []).append(s)
-    voltage = network.nominal_voltage
-    for t, evs in sorted(evs_at.items()):
-        abs_t = start_period + t
-        cols = np.array([network.evse_index[s.evse.id] for s in evs])
-        var_idx = np.array([offsets[s.session.id] + t for s in evs])
-        for li, constraint in enumerate(network.constraints):
-            w = network.weights[li, cols]
-            nz = w != 0
-            if not nz.any():
-                continue
-            limit = constraint.limit_at(abs_t)
-            bg = constraint.background_at(abs_t)
-            if constraint_mode == "affine":
-                prog.add_ineq(var_idx[nz], np.abs(w[nz]), limit - abs(bg))
-            else:
-                prog.add_disk(
-                    LinExpr(var_idx[nz], w[nz].real, bg.real),
-                    LinExpr(var_idx[nz], w[nz].imag, bg.imag),
-                    limit,
-                )
-
-    # Objective terms. kappa converts amp-periods to kWh for dollar terms.
-    kappa = voltage / 1000.0 * period_minutes / 60.0
-    kw_per_amp = voltage / 1000.0
-    period_vars: dict[int, tuple[np.ndarray, int]] = {
-        t: (np.array([offsets[s.session.id] + t for s in evs]), len(evs))
-        for t, evs in evs_at.items()
-    }
-
-    for comp, weight in utility.terms:
-        if isinstance(comp, QuickCharge):
-            for s in active:
-                sid = s.session.id
-                tt = np.arange(lengths[sid])
-                prog.linear_cost[offsets[sid] : offsets[sid] + lengths[sid]] += weight * (horizon - tt) / horizon
-        elif isinstance(comp, EqualShare):
-            prog.quad_cost[:n] += weight
-        elif isinstance(comp, EnergyCost):
-            const = 0.0
-            for t in range(horizon):
-                price = comp.price(start_period + t)
-                if t in period_vars:
-                    idx, _ = period_vars[t]
-                    prog.linear_cost[idx] += weight * kappa * (comp.revenue_per_kwh - price)
-                const -= weight * kappa * price * utility.background(start_period + t)
-            prog.objective_const += const
-        elif isinstance(comp, DemandCharge):
-            floor_kw = comp.threshold_kw
-            exprs = []
-            for t in range(horizon):
-                bg_kw = utility.background(start_period + t) * kw_per_amp
-                if t in period_vars:
-                    idx, cnt = period_vars[t]
-                    exprs.append(LinExpr(idx, np.full(cnt, kw_per_amp), bg_kw))
-                else:
-                    floor_kw = max(floor_kw, bg_kw)
-            exprs.append(LinExpr(np.array([], dtype=int), np.array([]), floor_kw))
-            prog.epigraph_terms.append(EpigraphTerm(weight * comp.price_per_kw, exprs))
-        elif isinstance(comp, LoadVariance):
-            for slot, t in enumerate(active_periods):
-                yi = lv_offset + slot
-                prog.quad_cost[yi] += weight
-                idx, cnt = period_vars[t]
-                prog.add_eq(np.append(idx, yi), np.append(-np.ones(cnt), 1.0), utility.background(start_period + t))
-            for t in range(horizon):
-                if t not in period_vars:
-                    prog.objective_const -= weight * utility.background(start_period + t) ** 2
-        elif isinstance(comp, NonCompletion):
-            deficits = []
-            for s in active:
-                sid = s.session.id
-                idx = np.arange(offsets[sid], offsets[sid] + lengths[sid])
-                deficits.append(LinExpr(idx, np.ones(lengths[sid]), -s.remaining_energy))
-            if comp.p == 1:
-                for d in deficits:
-                    neg = LinExpr(d.idx, -d.coef, -d.const)
-                    prog.epigraph_terms.append(EpigraphTerm(weight, [d, neg]))
-            elif comp.p == 2:
-                prog.norm_terms.append(NormTerm(weight, deficits))
-            elif math.isinf(comp.p):
-                exprs = [e for d in deficits for e in (d, LinExpr(d.idx, -d.coef, -d.const))]
-                prog.epigraph_terms.append(EpigraphTerm(weight, exprs))
-            else:
-                raise ValueError("non-completion norm supports p in {1, 2, inf}")
-        else:
-            raise ValueError(f"unknown utility component {comp!r}")
-
-    varmap = VarMap(
-        session_ids=[s.session.id for s in active],
-        offsets=offsets,
-        lengths=lengths,
-        horizon=horizon,
-        upper=upper_map,
-    )
-    return prog, varmap
+    windows = []
+    for s in sorted(active, key=lambda s: (s.session.arrival, s.session.id)):
+        first_bound = min(s.evse.max_pilot, s.pilot_upper_bound)
+        upper = np.full(min(horizon, s.remaining_duration), s.evse.max_pilot)
+        upper[:1] = first_bound
+        # Clamp by remaining energy so a nearly-done EV cannot make the
+        # program infeasible (lower bound above its own energy row).
+        lower = min(s.evse.min_rate, first_bound, s.remaining_energy) if quantized else 0.0
+        windows.append(Window(s.session.id, s.evse, 0, upper, lower, s.remaining_energy))
+    return build_program(windows, utility, network, horizon, start_period=start_period,
+                         constraint_mode=constraint_mode, period_minutes=period_minutes)
 
 
-def build_offline(
-    sessions: Sequence[Session],
-    utility: UtilityConfig,
-    network: ChargingNetwork,
-    horizon: int,
-    *,
-    constraint_mode: str = "affine",
-    period_minutes: float = 5.0,
-) -> tuple[ConvexProgram, "OfflineVarMap"]:
-    """One program over the whole window with every session known up front.
+def hindsight_windows(sessions: Sequence[Session], network: ChargingNetwork, horizon: int) -> list[Window]:
+    """Each session's arrival-to-departure window within the horizon, in arrival order.
 
-    Like the lookahead program but over absolute periods 0..horizon-1, with
-    each session's variables confined to its plug-in window. Used as the
-    hindsight benchmark; always a continuous relaxation.
+    In-program periods are absolute periods: the hindsight benchmark knows
+    every session up front and lets it draw up to its EVSE's maximum pilot.
     """
-    if constraint_mode not in ("affine", "soc"):
-        raise ValueError(f"unknown constraint mode {constraint_mode!r}")
-    windows = {
-        s.id: (s.arrival, min(s.departure, horizon))
-        for s in sessions
-        if s.arrival < horizon
-    }
-    windows = {sid: w for sid, w in windows.items() if w[1] > w[0]}
-    ordered = sorted(windows, key=lambda sid: (windows[sid][0], sid))
-    by_id = {s.id: s for s in sessions}
-
-    offsets, n = {}, 0
-    for sid in ordered:
-        offsets[sid] = n
-        n += windows[sid][1] - windows[sid][0]
-    if n == 0:
-        raise ValueError("no sessions overlap the horizon")
-    if n > 2_000_000:
-        raise MemoryError(
-            f"offline program needs {n} rate variables; split the window into "
-            "shorter spans and solve them separately"
-        )
-
-    lv_terms = [(c, w) for c, w in utility.terms if isinstance(c, LoadVariance)]
-    evs_at: dict[int, list[str]] = {}
-    for sid in ordered:
-        a, d = windows[sid]
-        for t in range(a, d):
-            evs_at.setdefault(t, []).append(sid)
-    active_periods = sorted(evs_at)
-    lv_offset = n
-    n_total = n + (len(active_periods) if lv_terms else 0)
-
-    prog = ConvexProgram.empty(n_total)
-    for sid in ordered:
-        a, d = windows[sid]
-        off = offsets[sid]
-        evse = network.evse(by_id[sid].evse_id)
-        prog.upper[off : off + d - a] = evse.max_pilot
-        prog.add_ineq(np.arange(off, off + d - a), np.ones(d - a), by_id[sid].requested_energy)
-    if lv_terms:
-        prog.lower[lv_offset:] = -np.inf
-
-    voltage = network.nominal_voltage
-    period_vars: dict[int, np.ndarray] = {}
-    for t, sids in evs_at.items():
-        period_vars[t] = np.array([offsets[sid] + (t - windows[sid][0]) for sid in sids])
-        cols = np.array([network.evse_index[by_id[sid].evse_id] for sid in sids])
-        for li, constraint in enumerate(network.constraints):
-            w = network.weights[li, cols]
-            nz = w != 0
-            if not nz.any():
-                continue
-            limit = constraint.limit_at(t)
-            bg = constraint.background_at(t)
-            if constraint_mode == "affine":
-                prog.add_ineq(period_vars[t][nz], np.abs(w[nz]), limit - abs(bg))
-            else:
-                prog.add_disk(
-                    LinExpr(period_vars[t][nz], w[nz].real, bg.real),
-                    LinExpr(period_vars[t][nz], w[nz].imag, bg.imag),
-                    limit,
-                )
-
-    kappa = voltage / 1000.0 * period_minutes / 60.0
-    kw_per_amp = voltage / 1000.0
-    for comp, weight in utility.terms:
-        if isinstance(comp, QuickCharge):
-            for sid in ordered:
-                a, d = windows[sid]
-                tt = np.arange(a, d)
-                prog.linear_cost[offsets[sid] : offsets[sid] + d - a] += weight * (horizon - tt) / horizon
-        elif isinstance(comp, EqualShare):
-            prog.quad_cost[:n] += weight
-        elif isinstance(comp, EnergyCost):
-            const = 0.0
-            for t in range(horizon):
-                price = comp.price(t)
-                if t in period_vars:
-                    prog.linear_cost[period_vars[t]] += weight * kappa * (comp.revenue_per_kwh - price)
-                const -= weight * kappa * price * utility.background(t)
-            prog.objective_const += const
-        elif isinstance(comp, DemandCharge):
-            floor_kw = comp.threshold_kw
-            exprs = []
-            for t in range(horizon):
-                bg_kw = utility.background(t) * kw_per_amp
-                if t in period_vars:
-                    idx = period_vars[t]
-                    exprs.append(LinExpr(idx, np.full(len(idx), kw_per_amp), bg_kw))
-                else:
-                    floor_kw = max(floor_kw, bg_kw)
-            exprs.append(LinExpr(np.array([], dtype=int), np.array([]), floor_kw))
-            prog.epigraph_terms.append(EpigraphTerm(weight * comp.price_per_kw, exprs))
-        elif isinstance(comp, LoadVariance):
-            for slot, t in enumerate(active_periods):
-                yi = lv_offset + slot
-                prog.quad_cost[yi] += weight
-                idx = period_vars[t]
-                prog.add_eq(np.append(idx, yi), np.append(-np.ones(len(idx)), 1.0), utility.background(t))
-            for t in range(horizon):
-                if t not in period_vars:
-                    prog.objective_const -= weight * utility.background(t) ** 2
-        elif isinstance(comp, NonCompletion):
-            deficits = []
-            for sid in ordered:
-                a, d = windows[sid]
-                idx = np.arange(offsets[sid], offsets[sid] + d - a)
-                deficits.append(LinExpr(idx, np.ones(d - a), -by_id[sid].requested_energy))
-            if comp.p == 1:
-                for dterm in deficits:
-                    neg = LinExpr(dterm.idx, -dterm.coef, -dterm.const)
-                    prog.epigraph_terms.append(EpigraphTerm(weight, [dterm, neg]))
-            elif comp.p == 2:
-                prog.norm_terms.append(NormTerm(weight, deficits))
-            elif math.isinf(comp.p):
-                exprs = [e for dt in deficits for e in (dt, LinExpr(dt.idx, -dt.coef, -dt.const))]
-                prog.epigraph_terms.append(EpigraphTerm(weight, exprs))
-            else:
-                raise ValueError("non-completion norm supports p in {1, 2, inf}")
-        else:
-            raise ValueError(f"unknown utility component {comp!r}")
-
-    return prog, OfflineVarMap(ordered, offsets, windows, horizon)
-
-
-@dataclass
-class OfflineVarMap:
-    """Where each session's window of rate variables lives, in absolute time."""
-
-    session_ids: list[str]
-    offsets: dict[str, int]
-    windows: dict[str, tuple[int, int]]
-    horizon: int
-
-    def schedule(self, x: np.ndarray) -> dict[str, np.ndarray]:
-        """Absolute-time rate vector per session, zero outside its window."""
-        out = {}
-        for sid in self.session_ids:
-            a, d = self.windows[sid]
-            vec = np.zeros(self.horizon)
-            vec[a:d] = np.maximum(x[self.offsets[sid] : self.offsets[sid] + d - a], 0.0)
-            out[sid] = vec
-        return out
+    windows = []
+    for s in sorted(sessions, key=lambda s: (s.arrival, s.id)):
+        length = min(s.departure, horizon) - s.arrival
+        if length > 0:
+            evse = network.evse(s.evse_id)
+            windows.append(Window(s.id, evse, s.arrival, np.full(length, evse.max_pilot), 0.0, s.requested_energy))
+    return windows
 
 
 # -- quantization and rampdown -------------------------------------------------
@@ -597,8 +540,7 @@ def quantize_and_reclaim(
     feasible = True
     steps = 0
     while not network.is_feasible(vec, t, mode, tol):
-        margins = network.soc_margins(vec, t) if mode == "soc" else network.affine_margins(vec, t)
-        row = np.abs(network.weights[int(np.argmin(margins))])
+        row = np.abs(network.weights[int(np.argmin(network.margins(vec, t, mode)))])
         movable = [e for e in desired if vec[col[e]] > 0 and row[col[e]] > 0]
         if not movable or steps == 16 * max(len(desired), 1):
             feasible = False

@@ -9,7 +9,6 @@ conservation) and optionally prices the resulting load profile.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Protocol, Sequence
 
@@ -19,15 +18,11 @@ from evsched.battery import IDEAL, TWO_STAGE, BatteryState, fit_to_session, resp
 from evsched.billing import BillingResult, Tariff, bill
 from evsched.network import ChargingNetwork
 from evsched.scheduler import (
-    DemandCharge,
-    EnergyCost,
-    EqualShare,
     EvState,
-    LoadVariance,
-    NonCompletion,
-    QuickCharge,
+    Profile,
     UtilityConfig,
-    build_offline,
+    build_program,
+    hindsight_windows,
     rampdown_update,
 )
 from evsched.solver import OPTIMAL, solve
@@ -286,14 +281,11 @@ def run(
             rates_by_evse[state.evse.id] = rates_by_evse.get(state.evse.id, 0.0) + p
 
         if algorithm.name != "uncontrolled" and rates_by_evse:
-            if not network.check_soc_feasible(rates_by_evse, k, config.audit_tol).all():
+            if not (network.margins(rates_by_evse, k, "soc") >= -config.audit_tol).all():
                 audit["network"] += 1
 
-        measured_by_evse = {}
-        for sid, state in states.items():
-            measured_by_evse[state.evse.id] = measured_mat[sid_row[sid], k]
-        for li, c in enumerate(network.constraints):
-            aggregates[li, k] = abs(network.aggregate_phasor(c.id, measured_by_evse, k))
+        measured_by_evse = {state.evse.id: measured_mat[sid_row[sid], k] for sid, state in states.items()}
+        aggregates[:, k] = np.abs(network.aggregates(measured_by_evse, k))
         net_load_kw[k] = measured_mat[:, k].sum() * kw_per_amp
         if meter is not None:
             meter.peak_kw = max(meter.peak_kw, float(net_load_kw[k]))
@@ -363,8 +355,8 @@ def offline_optimal(
     if not sessions:
         raise ValueError("no sessions to schedule")
     K = max(s.departure for s in sessions)
-    program, varmap = build_offline(
-        sessions, utility, network, K,
+    program, varmap = build_program(
+        hindsight_windows(sessions, network, K), utility, network, K,
         constraint_mode=constraint_mode, period_minutes=config.period_minutes,
     )
     solution = solve(program, tol=tol, max_iter=solver_max_iter)
@@ -387,39 +379,15 @@ def realized_utility(
     allocation otherwise. Horizon weighting spans the whole run.
     """
     rates = result.measured if use_measured else result.pilots
-    S, K = rates.shape
-    kappa = result.voltage / 1000.0 * result.period_minutes / 60.0
-    kw_per_amp = result.voltage / 1000.0
-    bg = np.array([utility.background(t) for t in range(K)])
-    net_amps = rates.sum(axis=0) + bg
-
+    bg = np.array([utility.background(t) for t in range(rates.shape[1])])
+    profile = Profile(
+        rates=rates,
+        requested=result.requested,
+        net_amps=rates.sum(axis=0) + bg,
+        kappa=result.voltage / 1000.0 * result.period_minutes / 60.0,
+        kw_per_amp=result.voltage / 1000.0,
+    )
     value = 0.0
     for comp, weight in utility.terms:
-        if isinstance(comp, QuickCharge):
-            w = (K - np.arange(K)) / K
-            value += weight * float(rates.sum(axis=0) @ w)
-        elif isinstance(comp, EqualShare):
-            value -= weight * float((rates**2).sum())
-        elif isinstance(comp, LoadVariance):
-            value -= weight * float((net_amps**2).sum())
-        elif isinstance(comp, EnergyCost):
-            prices = np.array([comp.price(t) for t in range(K)])
-            value += weight * kappa * (
-                comp.revenue_per_kwh * float(rates.sum()) - float(prices @ net_amps)
-            )
-        elif isinstance(comp, DemandCharge):
-            peak_kw = max(float(net_amps.max(initial=0.0)) * kw_per_amp, comp.threshold_kw)
-            value -= weight * comp.price_per_kw * peak_kw
-        elif isinstance(comp, NonCompletion):
-            deficit = np.abs(rates.sum(axis=1) - result.requested)
-            if comp.p == 1:
-                value -= weight * float(deficit.sum())
-            elif comp.p == 2:
-                value -= weight * float(np.linalg.norm(deficit))
-            elif math.isinf(comp.p):
-                value -= weight * float(deficit.max(initial=0.0))
-            else:
-                raise ValueError("non-completion norm supports p in {1, 2, inf}")
-        else:
-            raise ValueError(f"unknown utility component {comp!r}")
+        value += comp.value(profile, weight)
     return value

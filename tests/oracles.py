@@ -286,7 +286,7 @@ def probe_quantize_and_reclaim(desired, network, bounds, order, t, mode, tol=1e-
         rates[evse_id] = evse.floor_rate(min(max(want, 0.0), min(bounds.get(evse_id, evse.max_pilot), evse.max_pilot)))
     feasible, steps = True, 0
     while not network.is_feasible(rates, t, mode, tol):
-        margins = network.soc_margins(rates, t) if mode == "soc" else network.affine_margins(rates, t)
+        margins = network.margins(rates, t, mode)
         row = np.abs(network.weights[int(np.argmin(margins))])
         movable = [e for e in rates if rates[e] > 0 and row[network.evse_index[e]] > 0]
         if not movable or steps == 16 * max(len(rates), 1):

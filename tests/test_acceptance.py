@@ -136,9 +136,9 @@ def test_criterion_02_affine_feasible_implies_magnitude_feasible():
     affine_ok = exceptions = 0
     for _ in range(10_000):
         rates = rng.uniform(0.0, caps) * rng.uniform(0.0, 1.0) ** 2
-        if bool((net.affine_margins(rates, 0) >= 0.0).all()):
+        if bool((net.margins(rates, 0, "affine") >= 0.0).all()):
             affine_ok += 1
-            if not bool((net.soc_margins(rates, 0) >= -1e-9).all()):
+            if not bool((net.margins(rates, 0, "soc") >= -1e-9).all()):
                 exceptions += 1
     ok = exceptions == 0 and affine_ok >= 1000
     _report(2, "conservatism chain", ok,
@@ -216,14 +216,14 @@ def test_criterion_06_week_of_billing_tracks_hindsight_profit(profit_rows):
 def test_criterion_07_quantization_stays_feasible_within_budget():
     net = caltech_preset(40.0)
     ids = [e.id for e in net.evses]
-    no_load = net.affine_margins(np.zeros(len(ids)), 0)
+    no_load = net.margins(np.zeros(len(ids)), 0, "affine")
     rng = np.random.default_rng(7)
     bad_member = bad_feasible = bad_budget = 0
     for _ in range(500):
         chosen = list(rng.choice(ids, size=int(rng.integers(5, 21)), replace=False))
         desired = {e: float(rng.uniform(0.0, net.evse(e).max_pilot)) for e in chosen}
         # scale the draw into the conservative-feasible region, like a solver output
-        loads = no_load - net.affine_margins({**{i: 0.0 for i in ids}, **desired}, 0)
+        loads = no_load - net.margins({**{i: 0.0 for i in ids}, **desired}, 0, "affine")
         tight = loads > 1e-12
         if tight.any():
             scale = min(1.0, 0.999 * float((no_load[tight] / loads[tight]).min()))

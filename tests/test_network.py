@@ -40,8 +40,8 @@ def test_affine_check_is_stricter_than_magnitude():
     net = two_phase_network(limit=18.0)
     rates = {"a": 10.0, "b": 10.0}
     # |1|*10 + |-1|*10 = 20 > 18 fails the affine form, magnitude 17.32 passes.
-    assert not net.check_affine_feasible(rates).all()
-    assert net.check_soc_feasible(rates).all()
+    assert not net.is_feasible(rates, mode="affine")
+    assert net.is_feasible(rates)
 
 
 def test_affine_feasible_implies_magnitude_feasible():
@@ -50,8 +50,8 @@ def test_affine_feasible_implies_magnitude_feasible():
     n = len(net)
     for _ in range(200):
         rates = rng.uniform(0, 32, n) * (rng.random(n) < 0.5)
-        affine_ok = net.check_affine_feasible(rates)
-        soc_ok = net.check_soc_feasible(rates)
+        affine_ok = net.margins(rates, mode="affine") >= -1e-6
+        soc_ok = net.margins(rates) >= -1e-6
         assert np.all(soc_ok | ~affine_ok)
 
 
@@ -62,23 +62,23 @@ def test_single_phase_group_affine_equals_magnitude():
     rng = np.random.default_rng(3)
     for _ in range(50):
         rates = rng.uniform(0, 32, 4)
-        assert net.soc_margins(rates)[0] == pytest.approx(net.affine_margins(rates)[0])
+        assert net.margins(rates)[0] == pytest.approx(net.margins(rates, mode="affine")[0])
 
 
 def test_zero_rates_feasible_without_background():
     net = caltech_preset()
-    assert net.check_soc_feasible(np.zeros(len(net))).all()
-    assert net.check_affine_feasible(np.zeros(len(net))).all()
+    assert net.is_feasible(np.zeros(len(net)))
+    assert net.is_feasible(np.zeros(len(net)), mode="affine")
 
 
 def test_time_varying_limit():
     e = continuous_evse("a", 32.0, 0.0)
     c = NetworkConstraint("line", {"a": 1.0}, np.array([10.0, 20.0]))
     net = ChargingNetwork([e], [c])
-    assert not net.check_soc_feasible({"a": 15.0}, t=0).all()
-    assert net.check_soc_feasible({"a": 15.0}, t=1).all()
+    assert not net.is_feasible({"a": 15.0}, t=0)
+    assert net.is_feasible({"a": 15.0}, t=1)
     # periods past the end reuse the last value
-    assert net.check_soc_feasible({"a": 15.0}, t=5).all()
+    assert net.is_feasible({"a": 15.0}, t=5)
 
 
 def test_period_tables_clamp_each_constraint_to_its_own_last_value():
@@ -92,10 +92,10 @@ def test_period_tables_clamp_each_constraint_to_its_own_last_value():
             agg = phasor_sum([c.coefficients.get("a", 0.0), c.coefficients.get("b", 0.0)], [PHASE_AB, PHASE_BC],
                              [7.0, 5.0], c.background_at(t))
             assert net.aggregate_phasor(c.id, rates, t) == pytest.approx(agg, abs=1e-12)
-            assert net.soc_margins(rates, t)[li] == pytest.approx(c.limit_at(t) - abs(agg), abs=1e-12)
+            assert net.margins(rates, t)[li] == pytest.approx(c.limit_at(t) - abs(agg), abs=1e-12)
             affine = abs(c.coefficients.get("a", 0.0)) * 7.0 + abs(c.coefficients.get("b", 0.0)) * 5.0 + abs(c.background_at(t))
-            assert net.affine_margins(rates, t)[li] == pytest.approx(c.limit_at(t) - affine, abs=1e-12)
-    assert [net.soc_margins(rates, t)[0] + abs(net.aggregate_phasor("short", rates, t)) for t in (0, 1, 2, 9)] == [10.0, 20.0, 20.0, 20.0]
+            assert net.margins(rates, t, "affine")[li] == pytest.approx(c.limit_at(t) - affine, abs=1e-12)
+    assert [net.margins(rates, t)[0] + abs(net.aggregate_phasor("short", rates, t)) for t in (0, 1, 2, 9)] == [10.0, 20.0, 20.0, 20.0]
     with pytest.raises(ValueError):
         ChargingNetwork([a], [NetworkConstraint("empty", {"a": 1.0}, np.array([]))])
 
@@ -172,8 +172,8 @@ def test_background_load_consumes_headroom():
     e = continuous_evse("a", 32.0, 0.0)
     c = NetworkConstraint("line", {"a": 1.0}, 20.0, background=12 + 0j)
     net = ChargingNetwork([e], [c])
-    assert net.check_soc_feasible({"a": 8.0}).all()
-    assert not net.check_soc_feasible({"a": 9.0}).all()
+    assert net.is_feasible({"a": 8.0})
+    assert not net.is_feasible({"a": 9.0})
 
 
 class TestCaltechPreset:
@@ -206,7 +206,7 @@ class TestCaltechPreset:
     def test_balanced_full_load_infeasible(self):
         net = caltech_preset(150.0)
         rates = np.full(len(net), 32.0)
-        assert not net.check_soc_feasible(rates).all()
+        assert not net.is_feasible(rates)
 
     def test_coarse_pod_accepts_only_its_steps(self):
         net = caltech_preset()
@@ -258,7 +258,7 @@ def test_errors():
     with pytest.raises(KeyError):
         net.aggregate_phasor("nope", {"a": 1.0})
     with pytest.raises(ValueError):
-        net.check_soc_feasible([1.0, 2.0])
+        net.margins([1.0, 2.0])
     with pytest.raises(ValueError):
         ChargingNetwork([e, e], [])
     with pytest.raises(KeyError):

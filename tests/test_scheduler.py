@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from evsched.network import (
     aerovironment,
     clippercreek,
     continuous_evse,
+    synthetic_preset,
 )
 from evsched.scheduler import (
     AdaptiveScheduler,
@@ -23,12 +27,14 @@ from evsched.scheduler import (
     UtilityConfig,
     active_set,
     build_opt,
+    build_program,
+    hindsight_windows,
     laxity,
     minimum_rate_fallback,
     quantize_and_reclaim,
     rampdown_update,
 )
-from evsched.solver import MAX_ITER, OPTIMAL, Solution, solve
+from evsched.solver import MAX_ITER, OPTIMAL, ConvexProgram, Solution, solve
 from evsched.workload import Session
 from oracles import probe_minimum_rate_fallback, probe_quantize_and_reclaim, random_site
 
@@ -163,6 +169,45 @@ def test_build_opt_rejects_bad_inputs():
         build_opt([state], QC, net, horizon=0)
     with pytest.raises(ValueError):
         build_opt([state], QC, net, horizon=1, constraint_mode="euclid")
+
+
+def _plain(value):
+    """A program field as nested lists and floats, so == compares it exactly."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.tolist())
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return [_plain(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    return value
+
+
+@pytest.mark.parametrize("mode", ["affine", "soc"])
+def test_lookahead_and_hindsight_windows_build_the_same_program(mode):
+    """Sessions that all arrive at period 0: the lookahead program over their
+    starting states is the hindsight program of the same sessions."""
+    net = synthetic_preset(n_evse=6, transformer_kw=20.0)
+    ids = [e.id for e in net.evses]
+    sessions = [Session(f"s{i}", ids[i], 0, d, e) for i, (d, e) in enumerate([(9, 120.0), (6, 200.0), (12, 90.0), (4, 60.0)])]
+    util = UtilityConfig(
+        (
+            (QuickCharge(), 1.0),
+            (EqualShare(), 0.01),
+            (LoadVariance(), 1e-3),
+            (EnergyCost(0.3, lambda t: 0.1 + 0.02 * (t % 5)), 2.0),
+            (DemandCharge(1.5, 4.0), 1.0),
+            (NonCompletion(p=1), 0.5),
+            (NonCompletion(p=2), 0.3),
+            (NonCompletion(p=math.inf), 0.2),
+        ),
+        background_amps=lambda t: 3.0 + (t % 4),
+    )
+    K = max(s.departure for s in sessions)
+    states = [EvState.start(s, net.evse(s.evse_id)) for s in reversed(sessions)]
+    online, _ = build_opt(states, util, net, K, constraint_mode=mode)
+    offline, _ = build_program(hindsight_windows(sessions, net, K), util, net, K, constraint_mode=mode)
+    for f in dataclasses.fields(ConvexProgram):
+        assert _plain(getattr(online, f.name)) == _plain(getattr(offline, f.name)), f.name
 
 
 def test_quantize_splits_equal_halves_one_up_one_down():

@@ -13,7 +13,19 @@ from evsched.network import (
     continuous_evse,
     synthetic_preset,
 )
-from evsched.scheduler import AdaptiveScheduler, EqualShare, QuickCharge, UtilityConfig
+from evsched.scheduler import (
+    AdaptiveScheduler,
+    DemandCharge,
+    EnergyCost,
+    EqualShare,
+    LoadVariance,
+    NonCompletion,
+    QuickCharge,
+    UtilityConfig,
+    build_program,
+    hindsight_windows,
+)
+from evsched.solver import OPTIMAL, solve
 from evsched.simulator import (
     SCENARIOS,
     FixedSchedule,
@@ -83,6 +95,35 @@ def test_online_never_beats_hindsight():
     off = realized_utility(offline_res, QC_ES)
     on = realized_utility(online_res, QC_ES)
     assert on <= off + 1e-6 * max(1.0, abs(off))
+
+
+def test_program_objective_is_the_realized_utility_of_its_replay():
+    """Every component's program term (add_to) agrees with its value on the
+    replayed profile (value): the hindsight optimum, replayed in scenario I.
+    Doubled requests leave shortfalls, so the non-completion norms count."""
+    net, sessions = _small_site()
+    sessions = [dataclasses.replace(s, requested_energy=2 * s.requested_energy) for s in sessions]
+    util = UtilityConfig(
+        (
+            (QuickCharge(), 1.0),
+            (EqualShare(), 0.01),
+            (LoadVariance(), 1e-3),
+            (EnergyCost(0.3, lambda t: 0.1 + 0.02 * (t % 5)), 50.0),
+            (DemandCharge(1.5, 4.0), 1.0),
+            (NonCompletion(p=1), 0.5),
+            (NonCompletion(p=2), 0.3),
+            (NonCompletion(p=float("inf")), 0.2),
+        ),
+        background_amps=lambda t: 3.0 + (t % 4),
+    )
+    K = max(s.departure for s in sessions)
+    program, varmap = build_program(hindsight_windows(sessions, net, K), util, net, K)
+    assert program.norm_terms and program.linear_eqs and program.epigraph_terms
+    solution = solve(program)
+    assert solution.status == OPTIMAL
+    res = run(net, sessions, FixedSchedule(varmap.schedule(solution.x)), SCENARIOS["I"])
+    assert res.audit_violations() == 0
+    assert realized_utility(res, util) == pytest.approx(program.objective_value(solution.x), rel=1e-6)
 
 
 def _tail_waste(res, tail_start=0.8):
