@@ -232,14 +232,13 @@ class ChargingNetwork:
         li = self.constraint_index[constraint_id]
         return complex(self.aggregates(rates, t)[li])
 
-    def limit_profile(self, periods: int) -> np.ndarray:
-        """Read-only (m, periods) limits: column t holds every constraint's limit at period t."""
-        table = self._limit_table
-        if table.shape[1] == 1:
-            return np.broadcast_to(table, (len(table), periods))
-        out = table[:, np.minimum(np.arange(periods), table.shape[1] - 1)]
-        out.setflags(write=False)
-        return out
+    def limit_profile(self, periods: int, start: int = 0) -> np.ndarray:
+        """Read-only (m, periods) limits: column t holds every constraint's limit at period start + t."""
+        return _profile(self._limit_table, periods, start)
+
+    def background_profile(self, periods: int, start: int = 0) -> np.ndarray:
+        """Read-only (m, periods) background phasors: column t holds every constraint's at period start + t."""
+        return _profile(self._background_table, periods, start)
 
     def _limits_at(self, t: int) -> np.ndarray:
         return self._limit_table[:, min(t, self._limit_table.shape[1] - 1)]
@@ -383,6 +382,17 @@ def _period_table(constraints: Sequence[NetworkConstraint], name: str, dtype: ty
         table[li, len(row) :] = row[-1]
     table.setflags(write=False)
     return table
+
+
+def _profile(table: np.ndarray, periods: int, start: int) -> np.ndarray:
+    """Columns start .. start + periods - 1 of a period table, past its end its last column."""
+    if start < 0 or periods < 0:
+        raise ValueError("profile start and length must be nonnegative")
+    if table.shape[1] == 1:
+        return np.broadcast_to(table, (len(table), periods))
+    out = table[:, np.minimum(np.arange(start, start + periods), table.shape[1] - 1)]
+    out.setflags(write=False)
+    return out
 
 
 def _delta_wye_constraints(

@@ -61,6 +61,7 @@ __all__ = [
     "Window",
     "build_program",
     "build_opt",
+    "lookahead_windows",
     "hindsight_windows",
     "quantize_and_reclaim",
     "QuantizationError",
@@ -400,53 +401,69 @@ def build_program(
         raise ValueError(f"unknown constraint mode {constraint_mode!r}")
     if horizon < 1:
         raise ValueError("horizon must be at least one period")
-    offsets, n = [], 0
-    for w in windows:
-        offsets.append(n)
-        n += w.length
     if not windows or any(w.length < 1 for w in windows):
         raise ValueError("program needs at least one window, each at least one period long")
+    firsts = np.array([w.first for w in windows])
+    lengths = np.array([w.length for w in windows])
+    offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+    n = int(lengths.sum())
     if n > 2_000_000:
         raise MemoryError(f"program needs {n} rate variables; split the window into shorter spans")
 
-    present: dict[int, list[int]] = {}  # period -> windows present, in order
-    for j, w in enumerate(windows):
-        for t in range(w.first, w.first + w.length):
-            present.setdefault(t, []).append(j)
-    period_vars = {
-        t: np.array([offsets[j] + t - windows[j].first for j in present[t]]) for t in sorted(present)
-    }
+    # present[p, j]: window j covers the p-th occupied period, where its rate
+    # is variable var_at[p, j]. C order walks periods ascending, then windows
+    # in the order given.
+    ts = np.arange((firsts + lengths).max())[:, None]
+    present = (ts >= firsts) & (ts < firsts + lengths)
+    periods = np.flatnonzero(present.any(axis=1))
+    present = present[periods]
+    var_at = offsets + periods[:, None] - firsts
+    var = var_at[present]
+    ends = np.cumsum(present.sum(axis=1)).tolist()
+    period_vars = {t: var[lo:hi] for t, lo, hi in zip(periods.tolist(), [0] + ends[:-1], ends)}
     n_aux = len(period_vars) if any(isinstance(c, LoadVariance) for c, _ in utility.terms) else 0
 
     prog = ConvexProgram.empty(n + n_aux)
-    for w, off in zip(windows, offsets):
-        prog.upper[off : off + w.length] = w.upper
-        prog.lower[off] = w.lower
-        prog.add_ineq(np.arange(off, off + w.length), np.ones(w.length), w.energy)
+    prog.upper[:n] = np.concatenate([w.upper for w in windows])
+    prog.lower[offsets] = [w.lower for w in windows]
     prog.lower[n:] = -np.inf
-
-    col = [network.evse_index[w.evse.id] for w in windows]
-    for t, idx in period_vars.items():
-        abs_t = start_period + t
-        block = network.weights[:, [col[j] for j in present[t]]]
-        for constraint, w in zip(network.constraints, block):
-            nz = w != 0
-            if not nz.any():
-                continue
-            limit = constraint.limit_at(abs_t)
-            bg = constraint.background_at(abs_t)
-            if constraint_mode == "affine":
-                prog.add_ineq(idx[nz], np.abs(w[nz]), limit - abs(bg))
-            else:
-                prog.add_disk(LinExpr(idx[nz], w[nz].real, bg.real), LinExpr(idx[nz], w[nz].imag, bg.imag), limit)
+    prog.add_ineqs(np.arange(n), np.ones(n), lengths, [w.energy for w in windows])
+    _add_network_rows(prog, present, var_at, periods, start_period, windows, network, constraint_mode)
 
     voltage = network.nominal_voltage
     background = [utility.background(start_period + t) for t in range(horizon)]
     kappa = voltage / 1000.0 * period_minutes / 60.0
-    ctx = VarMap(list(windows), offsets, horizon, start_period, n, period_vars, background, kappa, voltage / 1000.0)
+    ctx = VarMap(list(windows), offsets.tolist(), horizon, start_period, n, period_vars, background, kappa, voltage / 1000.0)
     for comp, weight in utility.terms:
         comp.add_to(prog, ctx, weight)
     return prog, ctx
+
+
+def _add_network_rows(prog, present, var_at, periods, start_period, windows, network, mode) -> None:
+    """One row (affine) or disk (soc) per occupied period and constraint over the windows it weighs.
+
+    Rows run by period, then constraint, each over its windows in order; a
+    constraint that weighs none of the windows present in a period gets none.
+    """
+    weights = network.weights[:, [network.evse_index[w.evse.id] for w in windows]]
+    hit = present[:, None, :] & (weights != 0)  # (period, constraint, window)
+    p, l, j = np.nonzero(hit)
+    idx = var_at[p, j]
+    w = weights[l, j]
+    counts = hit.sum(axis=2)
+    rp, rl = np.nonzero(counts)
+    lens = counts[rp, rl]
+    span = periods[-1] + 1
+    limit = network.limit_profile(span, start_period)[rl, periods[rp]]
+    bg = network.background_profile(span, start_period)[rl, periods[rp]]
+    if mode == "affine":
+        # np.hypot rounds like Python's abs of a complex; np.abs can differ in the last bit.
+        prog.add_ineqs(idx, np.abs(w), lens, limit - np.hypot(bg.real, bg.imag))
+        return
+    ends = np.cumsum(lens).tolist()
+    re, im = w.real, w.imag
+    for lo, hi, c, bg_re, bg_im in zip([0] + ends[:-1], ends, limit.tolist(), bg.real.tolist(), bg.imag.tolist()):
+        prog.add_disk(LinExpr(idx[lo:hi], re[lo:hi], bg_re), LinExpr(idx[lo:hi], im[lo:hi], bg_im), c)
 
 
 def build_opt(
@@ -462,11 +479,20 @@ def build_opt(
 ) -> tuple[ConvexProgram, VarMap]:
     """Assemble the lookahead program for the given active EVs.
 
-    Each EV's window starts at in-program period 0 (absolute period
-    ``start_period``) and lasts while it is still present, capped at the
-    horizon. Its first-period bound is its rampdown bound; in quantized mode
-    its first-period rate also gets the EVSE's minimum nonzero pilot as a
-    lower bound.
+    The windows are ``lookahead_windows(active, horizon, quantized)``; the
+    program's period 0 is absolute period ``start_period``.
+    """
+    return build_program(lookahead_windows(active, horizon, quantized), utility, network, horizon,
+                         start_period=start_period, constraint_mode=constraint_mode, period_minutes=period_minutes)
+
+
+def lookahead_windows(active: Sequence[EvState], horizon: int, quantized: bool = False) -> list[Window]:
+    """Each active EV's window from in-program period 0, in arrival order.
+
+    A window lasts while its EV is still present, capped at the horizon. Its
+    first-period bound is the EV's rampdown bound; in quantized mode its
+    first-period rate also gets the EVSE's minimum nonzero pilot as a lower
+    bound.
     """
     windows = []
     for s in sorted(active, key=lambda s: (s.session.arrival, s.session.id)):
@@ -477,8 +503,7 @@ def build_opt(
         # program infeasible (lower bound above its own energy row).
         lower = min(s.evse.min_rate, first_bound, s.remaining_energy) if quantized else 0.0
         windows.append(Window(s.session.id, s.evse, 0, upper, lower, s.remaining_energy))
-    return build_program(windows, utility, network, horizon, start_period=start_period,
-                         constraint_mode=constraint_mode, period_minutes=period_minutes)
+    return windows
 
 
 def hindsight_windows(sessions: Sequence[Session], network: ChargingNetwork, horizon: int) -> list[Window]:

@@ -9,30 +9,42 @@ Programs here maximize
 subject to box bounds, linear inequality and equality rows, and magnitude
 ("disk") constraints  |(re'x + o_re) + j(im'x + o_im)| <= limit.
 
+A program keeps its linear rows in a ``RowStore``: every row's indices and
+coefficients back to back in two flat arrays, with per-row lengths and
+right-hand sides. Builders append rows one at a time or as whole blocks of
+arrays, and the solver reads the block as it is as a csr matrix. Read as a
+sequence, the store yields one ``(LinExpr, rhs)`` per row.
+
 Disks and norms are handled by polyhedral outer approximation: each disk is
 seeded with a regular polygon of tangent half-planes and tightened with
 supporting-hyperplane cuts at violating points; every violated constraint
 receives a cut each outer iteration, so the relaxation only shrinks. The
 polygon contains the disk, hence intermediate iterates can overshoot a limit
-by a few percent at most and the final iterate by at most ``tol``.
+by a few percent at most and the final iterate by at most ``tol``. Cuts go
+to the solve's own copy of the rows, never to the program.
 
 The inner quadratic program is solved by a Mehrotra predictor-corrector
-primal-dual interior-point method. Box bounds are not rows: each finite
-bound only adds its barrier weight z/s to the diagonal. Each Newton step
-solves the regularized normal equations (P + delta + G'WG) dx = r, with W the
-rows' weights z/s; the pattern of G'WG is fixed per call and its values
-refreshed every iteration. Programs with up to a thousand variables factor
-that matrix densely by Cholesky; larger ones factor the equivalent sparse
-KKT system by LU. Epigraph and norm values become auxiliary variables
-minimized from above, so reported objectives are recomputed exactly from the
-returned point.
+primal-dual interior-point method (Wright, 1997, normal-equation form). Box
+bounds are not rows: each finite bound only adds its barrier weight z/s to
+the diagonal. Each Newton step solves the regularized normal equations
+(P + delta + G'WG) dx = r, with W the rows' weights z/s. As in OSQP, what
+depends only on the program is fixed once per call: the pattern of G'WG,
+the row scaling and the LAPACK routines. An iteration then does numeric
+work only: G'WG's values by one bincount, products by G and G' by bincounts
+over the csr entries, G dx once per step, and the step length in one pass
+over s and z. Programs with up to a thousand variables factor the normal
+matrix densely by Cholesky (LAPACK potrf/potrs); larger ones factor the
+equivalent sparse KKT system by LU. Epigraph and norm values become
+auxiliary variables minimized from above, so reported objectives are
+recomputed exactly from the returned point. A solution reports its last
+pass's relative primal and dual residuals and mu next to its status.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -47,6 +59,7 @@ __all__ = [
     "EpigraphTerm",
     "NormTerm",
     "ConvexProgram",
+    "RowStore",
     "Solution",
     "ProgramError",
     "add_soc_cut",
@@ -127,6 +140,78 @@ class NormTerm:
         return float(np.linalg.norm(self.values(x)))
 
 
+class RowStore(Sequence):
+    """Sparse rows coef @ x[idx] against a right-hand side, held as flat arrays.
+
+    Row k's indices and coefficients are the next ``lens[k]`` entries of
+    ``idx`` and ``coef``. Appends are collected and joined on the next read,
+    so building row by row or block by block costs one concatenation. As a
+    sequence, item k is ``(LinExpr, rhs)`` over read-only views of the arrays.
+    """
+
+    def __init__(self) -> None:
+        self._joined = (np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=int), np.zeros(0))
+        self._parts: list[tuple[np.ndarray, ...]] = []
+        self._starts: np.ndarray | None = None
+        self._count = 0
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, k: int) -> tuple[LinExpr, float]:
+        k = range(self._count)[k]  # IndexError past either end
+        idx, coef, _, rhs = self.arrays()
+        a, b = self._row_starts()[k : k + 2]
+        return LinExpr(idx[a:b], coef[a:b]), float(rhs[k])
+
+    def append(self, idx: Sequence[int], coef: Sequence[float], rhs: float) -> None:
+        """One row coef @ x[idx] against rhs."""
+        idx = np.asarray(idx, dtype=int)
+        self.extend(idx, coef, [idx.size], [rhs])
+
+    def extend(self, idx, coef, lens, rhs) -> None:
+        """Rows as flat arrays: row k is the next lens[k] entries of idx and coef."""
+        idx, coef = np.asarray(idx, dtype=int), np.asarray(coef, dtype=float)
+        lens, rhs = np.asarray(lens, dtype=int), np.asarray(rhs, dtype=float)
+        if idx.ndim != 1 or idx.shape != coef.shape or lens.shape != rhs.shape or lens.sum() != len(idx):
+            raise ProgramError("row index, coefficient and length arrays do not match")
+        if len(rhs):
+            self._parts.append((idx, coef, lens, rhs))
+            self._count += len(rhs)
+            self._starts = None
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(idx, coef, lens, rhs) of every row, read-only."""
+        if self._parts:
+            joined = tuple(np.concatenate(group) for group in zip(self._joined, *self._parts))
+            for a in joined:
+                a.setflags(write=False)
+            self._joined, self._parts = joined, []
+        return self._joined
+
+    def _row_starts(self) -> np.ndarray:
+        """Offsets of each row's first entry in ``idx``, then the total length."""
+        if self._starts is None:
+            self._starts = np.concatenate([[0], np.cumsum(self.arrays()[2])])
+        return self._starts
+
+    def copy(self) -> "RowStore":
+        """Another store holding the same rows; appending to either leaves the other as it is."""
+        out = RowStore()
+        out._joined, out._count = self.arrays(), self._count
+        return out
+
+    def residuals(self, x: np.ndarray) -> np.ndarray:
+        """coef @ x[idx] - rhs, one entry per row."""
+        idx, coef, lens, rhs = self.arrays()
+        return np.bincount(np.repeat(np.arange(len(rhs)), lens), weights=coef * x[idx], minlength=len(rhs)) - rhs
+
+    def csr(self, n: int) -> tuple["sp.csr_matrix", np.ndarray]:
+        """The rows as a csr matrix over n columns, and their right-hand sides."""
+        idx, coef, _, rhs = self.arrays()
+        return sp.csr_matrix((coef, idx, self._row_starts()), shape=(len(rhs), n)), rhs
+
+
 @dataclass(eq=False)
 class ConvexProgram:
     n: int
@@ -134,8 +219,8 @@ class ConvexProgram:
     quad_cost: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    linear_ineqs: list[tuple[LinExpr, float]] = field(default_factory=list)
-    linear_eqs: list[tuple[LinExpr, float]] = field(default_factory=list)
+    linear_ineqs: RowStore = field(default_factory=RowStore)  # rows <= rhs
+    linear_eqs: RowStore = field(default_factory=RowStore)  # rows == rhs
     disks: list[DiskConstraint] = field(default_factory=list)
     epigraph_terms: list[EpigraphTerm] = field(default_factory=list)
     norm_terms: list[NormTerm] = field(default_factory=list)
@@ -152,10 +237,14 @@ class ConvexProgram:
         )
 
     def add_ineq(self, idx: Sequence[int], coef: Sequence[float], rhs: float) -> None:
-        self.linear_ineqs.append((LinExpr(np.asarray(idx), np.asarray(coef)), float(rhs)))
+        self.linear_ineqs.append(idx, coef, rhs)
+
+    def add_ineqs(self, idx: np.ndarray, coef: np.ndarray, lens: np.ndarray, rhs: np.ndarray) -> None:
+        """Inequality rows as flat arrays; see ``RowStore.extend``."""
+        self.linear_ineqs.extend(idx, coef, lens, rhs)
 
     def add_eq(self, idx: Sequence[int], coef: Sequence[float], rhs: float) -> None:
-        self.linear_eqs.append((LinExpr(np.asarray(idx), np.asarray(coef)), float(rhs)))
+        self.linear_eqs.append(idx, coef, rhs)
 
     def add_disk(self, real: LinExpr, imag: LinExpr, limit: float) -> None:
         self.disks.append(DiskConstraint(real, imag, float(limit)))
@@ -196,12 +285,13 @@ class ConvexProgram:
 
     def row_violation(self, x: np.ndarray) -> float:
         """Worst violation at x of the bounds, inequality rows and equality rows (0 if none)."""
-        worst = max(0.0, float(np.max(self.lower - x)), float(np.max(x - self.upper)))
-        for expr, rhs in self.linear_ineqs:
-            worst = max(worst, expr.value(x) - rhs)
-        for expr, rhs in self.linear_eqs:
-            worst = max(worst, abs(expr.value(x) - rhs))
-        return worst
+        return max(
+            0.0,
+            float(np.max(self.lower - x)),
+            float(np.max(x - self.upper)),
+            float(np.max(self.linear_ineqs.residuals(x), initial=0.0)),
+            float(np.max(np.abs(self.linear_eqs.residuals(x)), initial=0.0)),
+        )
 
 
 @dataclass(eq=False)
@@ -214,6 +304,12 @@ class Solution:
     cuts_added: int
     violation_history: list[float]
     inner_iterations: list[int] = field(default_factory=list)  # Mehrotra iterations, one per outer pass
+    # The last pass's scaled primal and dual residuals and complementarity mu
+    # at x, relative to 1 + max|rhs| and 1 + max|cost| as its stopping test
+    # measures them: an optimal pass has each at most its tolerance.
+    primal_residual: float = math.nan
+    dual_residual: float = math.nan
+    mu: float = math.nan
 
 
 def add_soc_cut(program: ConvexProgram, disk_index: int, x: np.ndarray) -> tuple[LinExpr, float]:
@@ -230,9 +326,8 @@ def add_soc_cut(program: ConvexProgram, disk_index: int, x: np.ndarray) -> tuple
     if mag <= disk.limit:
         raise ValueError(f"point does not violate disk {disk_index} ({mag:.6g} <= {disk.limit:.6g})")
     idx, coef, rhs = _tangent_rows(disk, np.array([re / mag]), np.array([im / mag]))
-    expr = LinExpr(idx, coef[0])
-    program.linear_ineqs.append((expr, float(rhs[0])))
-    return expr, float(rhs[0])
+    program.add_ineq(idx, coef[0], rhs[0])
+    return program.linear_ineqs[-1]
 
 
 _SEED_ANGLES = 2.0 * np.pi * (np.arange(SEED_TANGENTS) + 0.5) / SEED_TANGENTS
@@ -253,50 +348,24 @@ def _tangent_rows(disk: DiskConstraint, c: np.ndarray, s: np.ndarray) -> tuple[n
     return idx, coef, rhs
 
 
-class _RowStack:
-    """Accumulates sparse rows, then builds csr G and h.
+def _row_scaled(M: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
+    """M with each row divided by its max |entry| (1.0 for empty rows), and those divisors.
 
-    ``build`` joins what it has into one block and keeps it, so a later build
-    only appends the rows added since.
+    Each row's entries come out in reverse, the order scipy's product
+    ``diags(1 / scale) @ M`` gives them, so sums along a row round as they do
+    over that product and solutions stay bit-identical to it. Unlike the
+    product this keeps duplicate entries and explicit zeros, which changes
+    no value, only perhaps the last bit of a sum.
     """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.idx: list[np.ndarray] = []
-        self.coef: list[np.ndarray] = []
-        self.lens: list[np.ndarray] = []
-        self.rhs: list[np.ndarray] = []
-
-    def __len__(self) -> int:
-        return sum(len(r) for r in self.rhs)
-
-    def add(self, idx: Sequence[np.ndarray], coef: Sequence[np.ndarray], rhs: Sequence[float]) -> None:
-        """One row coef[k] @ x[idx[k]] <= rhs[k] per k."""
-        if len(rhs):
-            self.idx.append(np.concatenate(idx).astype(int, copy=False))
-            self.coef.append(np.concatenate(coef).astype(float, copy=False))
-            self.lens.append(np.array([len(i) for i in idx]))
-            self.rhs.append(np.array(rhs, dtype=float))
-
-    def build(self) -> tuple[sp.csr_matrix, np.ndarray]:
-        if not self.rhs:
-            return sp.csr_matrix((0, self.n)), np.zeros(0)
-        if len(self.rhs) > 1:
-            self.idx, self.coef, self.lens, self.rhs = (
-                [np.concatenate(parts)] for parts in (self.idx, self.coef, self.lens, self.rhs)
-            )
-        indptr = np.concatenate([[0], np.cumsum(self.lens[0])])
-        G = sp.csr_matrix((self.coef[0], self.idx[0], indptr), shape=(len(self.rhs[0]), self.n))
-        return G, self.rhs[0]
-
-
-def _row_maxabs(M: sp.csr_matrix) -> np.ndarray:
-    """Per-row max |entry|, 1.0 for empty rows."""
-    out = np.ones(M.shape[0])
-    nz = np.diff(M.indptr) > 0
+    lens = np.diff(M.indptr)
+    scale = np.ones(M.shape[0])
     if M.nnz:
-        out[nz] = np.maximum.reduceat(np.abs(M.data), M.indptr[:-1][nz])
-    return np.maximum(out, 1e-12)
+        scale[lens > 0] = np.maximum.reduceat(np.abs(M.data), M.indptr[:-1][lens > 0])
+    scale = np.maximum(scale, 1e-12)
+    row_of = np.repeat(np.arange(M.shape[0]), lens)
+    rev = M.indptr[row_of] + M.indptr[row_of + 1] - 1 - np.arange(M.nnz)
+    data = M.data[rev] * (1.0 / scale)[row_of]
+    return sp.csr_matrix((data, M.indices[rev], M.indptr), shape=M.shape), scale
 
 
 class _Inequalities:
@@ -307,19 +376,25 @@ class _Inequalities:
     """
 
     def __init__(self, G: sp.csr_matrix, h: np.ndarray, lower: np.ndarray, upper: np.ndarray):
-        self.G, self.GT = G, G.T.tocsr()
+        self.G = G
         self.iu = np.flatnonzero(np.isfinite(upper))
         self.il = np.flatnonzero(np.isfinite(lower))
         self.h = np.concatenate([h, upper[self.iu], -lower[self.il]])
         self.m = G.shape[0]
         self.k = self.m + len(self.iu)
         self.n = G.shape[1]
+        # Products by G and G' as bincounts over the csr entries: each sum
+        # runs in entry order, as scipy's csr product would run it.
+        self.row_of = np.repeat(np.arange(self.m), np.diff(G.indptr))
 
     def dot(self, x: np.ndarray) -> np.ndarray:
-        return np.concatenate([self.G @ x, x[self.iu], -x[self.il]])
+        G = self.G
+        Gx = np.bincount(self.row_of, weights=G.data * x[G.indices], minlength=self.m)
+        return np.concatenate([Gx, x[self.iu], -x[self.il]])
 
     def tdot(self, z: np.ndarray) -> np.ndarray:
-        out = self.GT @ z[: self.m]
+        G = self.G
+        out = np.bincount(G.indices, weights=G.data * z[self.row_of], minlength=self.n).astype(float, copy=False)  # int when G is empty
         out[self.iu] += z[self.m : self.k]
         out[self.il] -= z[self.k :]
         return out
@@ -355,9 +430,8 @@ def _normal_step(ineq: _Inequalities, As, p: int):
     rows are eliminated through the Schur complement A N^-1 A' + delta of the
     quasi-definite system [[N, A'], [A, -delta]].
     """
-    G, n = ineq.G, ineq.n
+    G, n, row_of = ineq.G, ineq.n, ineq.row_of
     lens = np.diff(G.indptr)
-    row_of = np.repeat(np.arange(G.shape[0]), lens)
     reps = lens[row_of]
     first = np.repeat(np.arange(G.nnz), reps)
     second = np.repeat(G.indptr[:-1][row_of], reps) + np.arange(len(first)) - np.repeat(np.cumsum(reps) - reps, reps)
@@ -368,26 +442,37 @@ def _normal_step(ineq: _Inequalities, As, p: int):
     row = row_of[first]
     prod = G.data[first] * G.data[second]
     Ad = As.toarray() if p else None
+    potrf, potrs = sla.get_lapack_funcs(("potrf", "potrs"), (np.zeros(1),))
+
+    def cholesky(a):
+        c, info = potrf(a, lower=True, overwrite_a=True, clean=False)
+        if info:
+            raise sla.LinAlgError(f"Cholesky factorization failed (info {info})")
+        return c
+
+    def cho_solve(c, b):
+        return potrs(c, b, lower=True)[0]
 
     def factor(p_reg, d, delta):
         w = 1.0 / d
         buf = np.bincount(pos, weights=prod * w[row], minlength=n * n).astype(float, copy=False)  # int when G is empty
         buf[:: n + 1] += p_reg + ineq.bound_diag(w)
-        cN = sla.cho_factor(buf.reshape((n, n), order="F"), lower=True, overwrite_a=True, check_finite=False)
+        cN = cholesky(buf.reshape((n, n), order="F"))
         if p:
-            S = Ad @ sla.cho_solve(cN, Ad.T, check_finite=False)
+            S = Ad @ cho_solve(cN, Ad.T)
             S[np.diag_indices(p)] += delta
-            cS = sla.cho_factor(S, lower=True, overwrite_a=True, check_finite=False)
+            cS = cholesky(S)
 
         def solve_step(rd, re, r3):
             wr3 = w * r3
             f = ineq.tdot(wr3) - rd
             dy = np.zeros(0)
             if p:
-                dy = sla.cho_solve(cS, Ad @ sla.cho_solve(cN, f, check_finite=False) + re, check_finite=False)
+                dy = cho_solve(cS, Ad @ cho_solve(cN, f) + re)
                 f = f - Ad.T @ dy
-            dx = sla.cho_solve(cN, f, check_finite=False)
-            return dx, dy, w * ineq.dot(dx) - wr3
+            dx = cho_solve(cN, f)
+            Gdx = ineq.dot(dx)
+            return dx, dy, w * Gdx - wr3, Gdx
 
         return solve_step
 
@@ -420,7 +505,7 @@ def _kkt_step(ineq: _Inequalities, As, p: int):
 
         def solve_step(rd, re, r3):
             sol = lu.solve(np.concatenate([-rd, -re, r3]))
-            return sol[:n], sol[n : n + p], sol[n + p :]
+            return sol[:n], sol[n : n + p], sol[n + p :], ineq.dot(sol[:n])
 
         return solve_step
 
@@ -428,12 +513,10 @@ def _kkt_step(ineq: _Inequalities, As, p: int):
 
 
 def _step_length(s: np.ndarray, ds: np.ndarray, z: np.ndarray, dz: np.ndarray, tau: float) -> float:
-    alpha = 1.0
-    for v, dv in ((s, ds), (z, dz)):
-        neg = dv < 0
-        if np.any(neg):
-            alpha = min(alpha, tau * float(np.min(-v[neg] / dv[neg])))
-    return alpha
+    """The longest step that keeps s and z nonnegative, times tau, capped at 1."""
+    v, dv = np.concatenate((s, z)), np.concatenate((ds, dz))
+    neg = dv < 0
+    return min(1.0, tau * float((-v[neg] / dv[neg]).min())) if neg.any() else 1.0
 
 
 def _import_scipy() -> None:
@@ -447,8 +530,9 @@ def _import_scipy() -> None:
 def _ipm_qp(P_diag, q, G, h, lower, upper, A, b, x0, feas_tol=1e-8, max_iter=_INNER_MAX_ITER):
     """Minimize 1/2 x'diag(P)x + q'x  s.t.  Gx <= h, lower <= x <= upper, Ax = b.
 
-    Returns (x, status, iterations). G and the finite bounds together must
-    have at least one row.
+    Returns (x, status, iterations, residuals): residuals are the primal
+    residual, dual residual and mu at x, relative to the scales the stopping
+    test uses. G and the finite bounds together must have at least one row.
     """
     n = len(q)
     p = A.shape[0] if A is not None else 0
@@ -456,15 +540,12 @@ def _ipm_qp(P_diag, q, G, h, lower, upper, A, b, x0, feas_tol=1e-8, max_iter=_IN
     # Scale inequality and equality rows to unit inf-norm; keeps the central
     # path well conditioned when limits span orders of magnitude. Bound rows
     # have unit norm already.
-    G = G.tocsr()
-    g_scale = _row_maxabs(G)
-    ineq = _Inequalities(sp.diags(1.0 / g_scale) @ G, h / g_scale, lower, upper)
+    Gs, g_scale = _row_scaled(G.tocsr())
+    ineq = _Inequalities(Gs, h / g_scale, lower, upper)
     hs = ineq.h
     m = len(hs)
     if p:
-        A = A.tocsr()
-        a_scale = _row_maxabs(A)
-        As = (sp.diags(1.0 / a_scale) @ A).tocsr()
+        As, a_scale = _row_scaled(A.tocsr())
         bs = b / a_scale
     else:
         As, bs = None, np.zeros(0)
@@ -478,27 +559,28 @@ def _ipm_qp(P_diag, q, G, h, lower, upper, A, b, x0, feas_tol=1e-8, max_iter=_IN
     q_scale = 1.0 + float(np.max(np.abs(q))) if n else 1.0
     h_scale = 1.0 + float(np.max(np.abs(hs))) if m else 1.0
 
-    best = (np.inf, x.copy())
+    best = (np.inf, x.copy(), (math.nan,) * 3)
     for it in range(1, max_iter + 1):
         rd = P_diag * x + q + ineq.tdot(z) + (As.T @ y if p else 0.0)
         rp = ineq.dot(x) + s - hs
         re = (As @ x - bs) if p else np.zeros(0)
         mu = float(s @ z) / m
 
-        pres = float(np.max(np.abs(rp))) if m else 0.0
-        eres = float(np.max(np.abs(re))) if p else 0.0
-        dres = float(np.max(np.abs(rd))) if n else 0.0
+        pres = float(np.abs(rp).max()) if m else 0.0
+        eres = float(np.abs(re).max()) if p else 0.0
+        dres = float(np.abs(rd).max()) if n else 0.0
         merit = pres + eres + dres + mu
+        residuals = (max(pres, eres) / h_scale, dres / q_scale, mu / q_scale)
         if merit < best[0]:
-            best = (merit, x.copy())
+            best = (merit, x.copy(), residuals)
         if pres <= feas_tol * h_scale and eres <= feas_tol * h_scale and dres <= feas_tol * q_scale and mu <= feas_tol * q_scale:
-            return x, OPTIMAL, it
+            return x, OPTIMAL, it, residuals
 
         # Diverging multipliers mean the iteration is chasing an infeasibility
         # direction; stop and let the caller's phase-1 check classify it.
-        dual_mass = float(np.sum(np.abs(z))) + float(np.sum(np.abs(y)))
+        dual_mass = float(np.abs(z).sum()) + float(np.abs(y).sum())
         if mu > 1e12 or dual_mass > 1e14:
-            return best[1], MAX_ITER, it
+            return best[1], MAX_ITER, it, best[2]
 
         # The step solves [[P + delta, A', G'], [A, -delta, 0], [G, 0, -(S/Z + delta)]];
         # a failed factorization retries with a larger delta everywhere.
@@ -507,28 +589,28 @@ def _ipm_qp(P_diag, q, G, h, lower, upper, A, b, x0, feas_tol=1e-8, max_iter=_IN
         except (RuntimeError, sla.LinAlgError):
             delta *= 100.0
             if delta > 1e-2:
-                return best[1], MAX_ITER, it
+                return best[1], MAX_ITER, it, best[2]
             continue
 
-        dx, dy, dz = solve_step(rd, re, -rp + s)
-        ds = -rp - ineq.dot(dx)
+        dx, dy, dz, Gdx = solve_step(rd, re, -rp + s)
+        ds = -rp - Gdx
         alpha_aff = _step_length(s, ds, z, dz, 1.0)
         mu_aff = float((s + alpha_aff * ds) @ (z + alpha_aff * dz)) / m
         sigma = min(max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-8), 0.9999)
 
         r3 = -rp + s + (ds * dz - sigma * mu) / z
-        dx, dy, dz = solve_step(rd, re, r3)
-        ds = -rp - ineq.dot(dx)
+        dx, dy, dz, Gdx = solve_step(rd, re, r3)
+        ds = -rp - Gdx
         alpha = _step_length(s, ds, z, dz, 0.99)
         if alpha < 1e-12:
-            return best[1], MAX_ITER, it
+            return best[1], MAX_ITER, it, best[2]
         x += alpha * dx
         s += alpha * ds
         z += alpha * dz
         if p:
             y += alpha * dy
 
-    return best[1], MAX_ITER, max_iter
+    return best[1], MAX_ITER, max_iter, best[2]
 
 
 def _certify_infeasible(G, h, lower, upper, A, b, x0) -> bool:
@@ -549,7 +631,7 @@ def _certify_infeasible(G, h, lower, upper, A, b, x0) -> bool:
     q1 = np.zeros(n + 1)
     q1[n] = 1.0
     t0 = float(np.max(Gb @ x0 - hb, initial=0.0)) + 1.0
-    x1, status, _ = _ipm_qp(P1, q1, G1, hb, lower1, np.full(n + 1, np.inf), A1, b, np.concatenate([x0, [t0]]))
+    x1, status, _, _ = _ipm_qp(P1, q1, G1, hb, lower1, np.full(n + 1, np.inf), A1, b, np.concatenate([x0, [t0]]))
     if status != OPTIMAL:
         return False
     threshold = 1e-7 * (1.0 + float(np.max(np.abs(hb), initial=0.0)))
@@ -559,7 +641,9 @@ def _certify_infeasible(G, h, lower, upper, A, b, x0) -> bool:
 def _assemble(program: ConvexProgram):
     """Objective, bounds, inequality rows and equality rows over x and the auxiliaries.
 
-    Auxiliaries (one per epigraph term, then one per norm term) are free.
+    Auxiliaries (one per epigraph term, then one per norm term) are free. The
+    inequality rows are a copy of the program's, so cuts appended to them
+    leave the program as it is.
     """
     n = program.n
     n_aux = len(program.epigraph_terms) + len(program.norm_terms)
@@ -574,9 +658,7 @@ def _assemble(program: ConvexProgram):
     lower = np.concatenate([program.lower, np.full(n_aux, -np.inf)])
     upper = np.concatenate([program.upper, np.full(n_aux, np.inf)])
 
-    rows = _RowStack(ntot)
-    ineqs = program.linear_ineqs
-    rows.add([e.idx for e, _ in ineqs], [e.coef for e, _ in ineqs], [rhs - e.const for e, rhs in ineqs])
+    rows = program.linear_ineqs.copy()
     # Epigraph rows e - z <= 0; norm rows +-e - z <= 0.
     aux_rows = [(e, 1.0, n + j) for j, term in enumerate(program.epigraph_terms) for e in term.exprs]
     aux_rows += [
@@ -585,20 +667,23 @@ def _assemble(program: ConvexProgram):
         for e in term.exprs
         for sign in (1.0, -1.0)
     ]
-    rows.add(
-        [np.append(e.idx, zi) for e, _, zi in aux_rows],
-        [np.append(sign * e.coef, -1.0) for e, sign, _ in aux_rows],
-        [-sign * e.const for e, sign, _ in aux_rows],
-    )
+    if aux_rows:
+        rows.extend(
+            np.concatenate([np.append(e.idx, zi) for e, _, zi in aux_rows]),
+            np.concatenate([np.append(sign * e.coef, -1.0) for e, sign, _ in aux_rows]),
+            [len(e.idx) + 1 for e, _, _ in aux_rows],
+            [-sign * e.const for e, sign, _ in aux_rows],
+        )
     seed_c, seed_s = np.cos(_SEED_ANGLES), np.sin(_SEED_ANGLES)
-    for disk in program.disks:
-        idx, coef, rhs = _tangent_rows(disk, seed_c, seed_s)
-        rows.add([idx] * SEED_TANGENTS, coef, rhs)
-
-    eq = _RowStack(ntot)
-    eqs = program.linear_eqs
-    eq.add([e.idx for e, _ in eqs], [e.coef for e, _ in eqs], [rhs - e.const for e, rhs in eqs])
-    A, b = eq.build()
+    seeds = [_tangent_rows(disk, seed_c, seed_s) for disk in program.disks]
+    if seeds:  # SEED_TANGENTS rows per disk, each over the disk's indices
+        rows.extend(
+            np.concatenate([np.tile(idx, SEED_TANGENTS) for idx, _, _ in seeds]),
+            np.concatenate([coef.ravel() for _, coef, _ in seeds]),
+            np.repeat([len(idx) for idx, _, _ in seeds], SEED_TANGENTS),
+            np.concatenate([rhs for _, _, rhs in seeds]),
+        )
+    A, b = program.linear_eqs.csr(ntot)
     return P, q, lower, upper, rows, (A if A.shape[0] else None), b
 
 
@@ -642,13 +727,13 @@ def solve(program: ConvexProgram, tol: float = 1e-4, max_iter: int = 50) -> Solu
     outer = 0
 
     for outer in range(1, max_iter + 1):
-        G, h = rows.build()
-        x_full, inner_status, iterations = _ipm_qp(P, q, G, h, lower, upper, A, b, x0, feas_tol=inner_tol)
+        G, h = rows.csr(len(q))
+        x_full, inner_status, iterations, residuals = _ipm_qp(P, q, G, h, lower, upper, A, b, x0, feas_tol=inner_tol)
         inner.append(iterations)
         x_prog = x_full[: program.n]
 
         if inner_status != OPTIMAL and _certify_infeasible(G, h, lower, upper, A, b, x0):
-            return Solution(x_prog, INFEASIBLE, math.nan, math.nan, outer, cuts, history, inner)
+            return Solution(x_prog, INFEASIBLE, math.nan, math.nan, outer, cuts, history, inner, *residuals)
 
         worst = program.max_violation(x_prog)
         # Norm terms are relaxed the same way; treat z below the true norm as
@@ -667,7 +752,7 @@ def solve(program: ConvexProgram, tol: float = 1e-4, max_iter: int = 50) -> Solu
                 re, im = disk.phasor(x_prog)
                 mag = math.hypot(re, im)
                 idx, coef, rhs = _tangent_rows(disk, np.array([re / mag]), np.array([im / mag]))
-                rows.add([idx], coef, rhs)
+                rows.append(idx, coef[0], rhs[0])
                 added += 1
         for j, term in enumerate(program.norm_terms):
             zval = x_full[program.n + n_epi + j]
@@ -683,7 +768,7 @@ def solve(program: ConvexProgram, tol: float = 1e-4, max_iter: int = 50) -> Solu
                 uniq, inv = np.unique(idx, return_inverse=True)
                 summed = np.zeros(len(uniq))
                 np.add.at(summed, inv, coef)
-                rows.add([uniq], [summed], [rhs])
+                rows.append(uniq, summed, rhs)
                 added += 1
         cuts += added
         if added == 0:
@@ -693,4 +778,4 @@ def solve(program: ConvexProgram, tol: float = 1e-4, max_iter: int = 50) -> Solu
 
     objective = program.objective_value(x_prog)
     max_viol = history[-1] if history else 0.0
-    return Solution(x_prog, status, objective, max_viol, outer, cuts, history, inner)
+    return Solution(x_prog, status, objective, max_viol, outer, cuts, history, inner, *residuals)

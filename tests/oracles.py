@@ -5,7 +5,9 @@ every grid point by broadcasting one array axis per variable (no solver code,
 no relaxation, no cuts), the phasor sum is plain cmath, the battery tail is
 the direct recursion, and the greedy pilot references find each rate by
 probing ``ChargingNetwork.is_feasible`` one trial vector at a time (no rate
-windows). Tests compare package output against these.
+windows), and the row-by-row builder emits one network row per period and
+constraint through the constraints' own ``limit_at``/``background_at``.
+Tests compare package output against these.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from evsched.network import (
     clippercreek,
     continuous_evse,
 )
-from evsched.scheduler import EvState
-from evsched.solver import ConvexProgram
+from evsched.scheduler import EvState, LoadVariance, VarMap
+from evsched.solver import ConvexProgram, LinExpr
 from evsched.workload import Session
 
 
@@ -128,12 +130,13 @@ def battery_tail_energy(capacity: float, max_current: float, tail_start: float, 
     return charge - start_charge
 
 
-def random_site(rng: np.random.Generator):
+def random_site(rng: np.random.Generator, varying_backgrounds: bool = False):
     """A small oversubscribed site of mixed hardware and the EVs plugged in at one period.
 
     Rows carry signed coefficients with some stalls left out, limits are
     scalars or short per-period arrays, and some rows carry a background
-    phasor. EV states vary need, stay and the rampdown bound.
+    phasor, with ``varying_backgrounds`` sometimes a short per-period array.
+    EV states vary need, stay and the rampdown bound.
     """
     n = int(rng.integers(3, 9))
     makers = (
@@ -147,6 +150,9 @@ def random_site(rng: np.random.Generator):
         coefs = {e.id: float(rng.choice([1.0, -1.0, 0.5, -0.5, 0.25])) for e in evses if rng.random() < 0.7}
         limit = rng.uniform(10.0, 25.0 * n) if rng.random() < 0.6 else rng.uniform(10.0, 25.0 * n, int(rng.integers(2, 6)))
         background = complex(*rng.uniform(-15.0, 15.0, 2)) if rng.random() < 0.4 else 0j
+        if varying_backgrounds and rng.random() < 0.5:
+            k = int(rng.integers(2, 6))
+            background = rng.uniform(-15.0, 15.0, k) + 1j * rng.uniform(-15.0, 15.0, k)
         constraints.append(NetworkConstraint(f"c{li}", coefs, limit, background))
     network = ChargingNetwork(evses, constraints)
     active = []
@@ -318,3 +324,57 @@ def probe_quantize_and_reclaim(desired, network, bounds, order, t, mode, tol=1e-
                 rates[evse_id] = nxt
                 changed = feasible = True
     return rates if feasible else None
+
+
+# -- the scheduling program, one row at a time ----------------------------------
+
+
+def build_program_by_rows(windows, utility, network, horizon, *, start_period=0, constraint_mode="affine",
+                          period_minutes=5.0):
+    """``scheduler.build_program`` as a loop over periods and constraints.
+
+    Each occupied period's network rows are read off the weights of the
+    windows present, one ``add_ineq`` or ``add_disk`` call per constraint
+    that weighs any of them, with its limit and background read through the
+    constraint's ``limit_at`` and ``background_at``.
+    """
+    offsets, n = [], 0
+    for w in windows:
+        offsets.append(n)
+        n += w.length
+    present: dict[int, list[int]] = {}  # period -> windows present, in order
+    for j, w in enumerate(windows):
+        for t in range(w.first, w.first + w.length):
+            present.setdefault(t, []).append(j)
+    period_vars = {t: np.array([offsets[j] + t - windows[j].first for j in present[t]]) for t in sorted(present)}
+    n_aux = len(period_vars) if any(isinstance(c, LoadVariance) for c, _ in utility.terms) else 0
+
+    prog = ConvexProgram.empty(n + n_aux)
+    for w, off in zip(windows, offsets):
+        prog.upper[off : off + w.length] = w.upper
+        prog.lower[off] = w.lower
+        prog.add_ineq(np.arange(off, off + w.length), np.ones(w.length), w.energy)
+    prog.lower[n:] = -np.inf
+
+    col = [network.evse_index[w.evse.id] for w in windows]
+    for t, idx in period_vars.items():
+        abs_t = start_period + t
+        block = network.weights[:, [col[j] for j in present[t]]]
+        for constraint, w in zip(network.constraints, block):
+            nz = w != 0
+            if not nz.any():
+                continue
+            limit = constraint.limit_at(abs_t)
+            bg = constraint.background_at(abs_t)
+            if constraint_mode == "affine":
+                prog.add_ineq(idx[nz], np.abs(w[nz]), limit - abs(bg))
+            else:
+                prog.add_disk(LinExpr(idx[nz], w[nz].real, bg.real), LinExpr(idx[nz], w[nz].imag, bg.imag), limit)
+
+    voltage = network.nominal_voltage
+    background = [utility.background(start_period + t) for t in range(horizon)]
+    kappa = voltage / 1000.0 * period_minutes / 60.0
+    ctx = VarMap(list(windows), offsets, horizon, start_period, n, period_vars, background, kappa, voltage / 1000.0)
+    for comp, weight in utility.terms:
+        comp.add_to(prog, ctx, weight)
+    return prog, ctx

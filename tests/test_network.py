@@ -100,6 +100,29 @@ def test_period_tables_clamp_each_constraint_to_its_own_last_value():
         ChargingNetwork([a], [NetworkConstraint("empty", {"a": 1.0}, np.array([]))])
 
 
+def test_profiles_read_each_period_like_limit_at_and_background_at():
+    a = continuous_evse("a", 32.0, PHASE_AB)
+    short = NetworkConstraint("short", {"a": 1.0}, np.array([10.0, 20.0]), background=np.array([1 + 1j, 2 - 1j, 3j]))
+    scalar = NetworkConstraint("scalar", {"a": -0.5}, 30.0, background=4 - 2j)
+    varied = ChargingNetwork([a], [short, scalar])
+    flat = ChargingNetwork([a], [scalar])  # one-column tables
+    for net in (varied, flat):
+        for start in (0, 1, 2, 3, 7):  # from 3 on, past the end of both arrays
+            limits, backgrounds = net.limit_profile(4, start), net.background_profile(4, start)
+            assert limits.shape == backgrounds.shape == (len(net.constraints), 4)
+            for li, c in enumerate(net.constraints):
+                assert limits[li].tolist() == [c.limit_at(start + t) for t in range(4)]
+                assert backgrounds[li].tolist() == [c.background_at(start + t) for t in range(4)]
+            for profile in (limits, backgrounds):
+                with pytest.raises(ValueError):
+                    profile[0, 0] = 0.0
+    assert varied.limit_profile(2, 9).tolist() == [[20.0, 20.0], [30.0, 30.0]]
+    assert varied.background_profile(2, 9).tolist() == [[3j, 3j], [4 - 2j, 4 - 2j]]
+    assert varied.limit_profile(0, 5).shape == (2, 0)
+    with pytest.raises(ValueError):
+        varied.background_profile(2, -1)
+
+
 def test_weights_are_read_only():
     net = two_phase_network()
     assert net.weights[0] == pytest.approx(np.exp(1j * np.radians([PHASE_AB, PHASE_CA])) * [1.0, -1.0])

@@ -30,13 +30,14 @@ from evsched.scheduler import (
     build_program,
     hindsight_windows,
     laxity,
+    lookahead_windows,
     minimum_rate_fallback,
     quantize_and_reclaim,
     rampdown_update,
 )
-from evsched.solver import MAX_ITER, OPTIMAL, ConvexProgram, Solution, solve
+from evsched.solver import MAX_ITER, OPTIMAL, ConvexProgram, RowStore, Solution, solve
 from evsched.workload import Session
-from oracles import probe_minimum_rate_fallback, probe_quantize_and_reclaim, random_site
+from oracles import build_program_by_rows, probe_minimum_rate_fallback, probe_quantize_and_reclaim, random_site
 
 
 def _line(evses, limit, cid="line"):
@@ -175,7 +176,7 @@ def _plain(value):
     """A program field as nested lists and floats, so == compares it exactly."""
     if isinstance(value, np.ndarray):
         return (value.dtype.str, value.tolist())
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, RowStore)):
         return [_plain(v) for v in value]
     if dataclasses.is_dataclass(value):
         return [_plain(getattr(value, f.name)) for f in dataclasses.fields(value)]
@@ -208,6 +209,40 @@ def test_lookahead_and_hindsight_windows_build_the_same_program(mode):
     offline, _ = build_program(hindsight_windows(sessions, net, K), util, net, K, constraint_mode=mode)
     for f in dataclasses.fields(ConvexProgram):
         assert _plain(getattr(online, f.name)) == _plain(getattr(offline, f.name)), f.name
+
+
+@pytest.mark.parametrize("mode", ["affine", "soc"])
+def test_array_rows_match_the_row_by_row_builder(mode):
+    """The builder's array rows equal one add_ineq/add_disk per period and
+    constraint, field for field and in the same order, over lookahead and
+    staggered hindsight windows of random sites."""
+    rng = np.random.default_rng(31)
+    util = UtilityConfig(
+        ((QuickCharge(), 1.0), (EqualShare(), 0.01), (LoadVariance(), 1e-3)),
+        background_amps=lambda t: 2.0 + (t % 3),
+    )
+    seen = dict.fromkeys(("limit array", "background array", "constraint left out", "staggered"), 0)
+    for _ in range(40):
+        network, active = random_site(rng, varying_backgrounds=True)
+        if not active:
+            continue
+        sessions = [s.session for s in active]
+        K = max(s.departure for s in sessions)
+        lookahead = lookahead_windows(active, int(rng.integers(1, 12)), quantized=bool(rng.random() < 0.5))
+        cases = [(lookahead, max(w.length for w in lookahead), int(rng.integers(0, 8))),
+                 (hindsight_windows(sessions, network, K), K, 0)]
+        for windows, horizon, start in cases:
+            got, _ = build_program(windows, util, network, horizon, start_period=start, constraint_mode=mode)
+            want, _ = build_program_by_rows(windows, util, network, horizon, start_period=start, constraint_mode=mode)
+            for f in dataclasses.fields(ConvexProgram):
+                assert _plain(getattr(got, f.name)) == _plain(getattr(want, f.name)), f.name
+            occupied = len(got.linear_eqs)  # one load-variance row per occupied period
+            network_rows = len(got.linear_ineqs) - len(windows) if mode == "affine" else len(got.disks)
+            seen["constraint left out"] += network_rows < occupied * len(network.constraints)
+            seen["staggered"] += len({w.first for w in windows}) > 1
+        seen["limit array"] += any(np.ndim(c.limit) for c in network.constraints)
+        seen["background array"] += any(np.ndim(c.background) for c in network.constraints)
+    assert min(seen.values()) >= 5, seen
 
 
 def test_quantize_splits_equal_halves_one_up_one_down():

@@ -24,6 +24,7 @@ from evsched.solver import (
     LinExpr,
     NormTerm,
     ProgramError,
+    RowStore,
     add_soc_cut,
     solve,
 )
@@ -355,3 +356,90 @@ def test_inner_iterations_one_count_per_outer_pass():
         sol = solve(prog, tol=1e-6)
         assert len(sol.inner_iterations) == sol.outer_iterations
         assert all(k > 0 for k in sol.inner_iterations)
+
+
+def test_row_store_reads_back_its_rows():
+    rows = RowStore()
+    rows.append([2, 0], [1.5, -1.0], 3.0)
+    rows.extend(np.array([1, 0, 2]), np.array([2.0, 0.5, 1.0]), [1, 2], [4.0, -1.0])
+    rows.append([], [], 0.25)
+    assert len(rows) == 4
+    got = [(e.idx.tolist(), e.coef.tolist(), e.const, rhs) for e, rhs in rows]
+    assert got == [([2, 0], [1.5, -1.0], 0.0, 3.0), ([1], [2.0], 0.0, 4.0),
+                   ([0, 2], [0.5, 1.0], 0.0, -1.0), ([], [], 0.0, 0.25)]
+    assert rows[-3][0].idx.tolist() == [1]
+    with pytest.raises(IndexError):
+        rows[4]
+    x = np.array([1.0, 2.0, 3.0])
+    assert rows.residuals(x).tolist() == [e.value(x) - rhs for e, rhs in rows]
+    with pytest.raises(ValueError):
+        rows[0][0].coef[0] = 9.0  # views of the store are read-only
+
+    copy = rows.copy()
+    copy.append([1], [1.0], 1.0)
+    assert (len(rows), len(copy)) == (4, 5)
+    with pytest.raises(ProgramError):
+        rows.append([0, 1], [1.0], 1.0)
+    with pytest.raises(ProgramError):
+        rows.extend([0, 1], [1.0, 1.0], [1], [1.0])
+    assert len(rows) == 4
+
+
+def test_solve_leaves_the_program_rows_alone():
+    prog = _site_program()
+    count = len(prog.linear_ineqs)
+    before = [a.copy() for a in prog.linear_ineqs.arrays()]
+    sol = solve(prog, tol=1e-6)
+    assert sol.cuts_added > 0  # the solve added cuts to its own rows
+    assert len(prog.linear_ineqs) == count
+    for a, b in zip(prog.linear_ineqs.arrays(), before):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_failed_cholesky_retries_the_step_with_a_larger_delta(monkeypatch):
+    solver_mod._import_scipy()
+    lapack = solver_mod.sla.get_lapack_funcs
+    failed, deltas = [], []
+
+    def flaky_lapack(names, arrays=(), **kwargs):
+        potrf, potrs = lapack(names, arrays, **kwargs)
+
+        def potrf_failing_once(a, **kw):
+            c, info = potrf(a, **kw)
+            if not failed:
+                failed.append(True)
+                return c, 1  # as LAPACK reports a matrix that is not positive definite
+            return c, info
+
+        return potrf_failing_once, potrs
+
+    normal_step = solver_mod._normal_step
+
+    def recording_normal_step(ineq, As, p):
+        factor = normal_step(ineq, As, p)
+
+        def recorded(p_reg, d, delta):
+            deltas.append(delta)
+            return factor(p_reg, d, delta)
+
+        return recorded
+
+    monkeypatch.setattr(solver_mod.sla, "get_lapack_funcs", flaky_lapack)
+    monkeypatch.setattr(solver_mod, "_normal_step", recording_normal_step)
+    sol = solve(_mixed_bounds_program(), tol=1e-6)
+    assert failed == [True]
+    assert deltas[:2] == [1e-9, pytest.approx(1e-7)]  # the same iterate, refactored with 100x delta
+    assert sol.status == OPTIMAL
+
+
+def test_optimal_solutions_report_residuals_within_the_inner_tolerance():
+    tol = 1e-6
+    inner_tol = min(1e-8, tol * 1e-2)
+    optimal = 0
+    for prog in _factorization_programs():
+        sol = solve(prog, tol=tol)
+        if sol.status == OPTIMAL:
+            optimal += 1
+            residuals = (sol.primal_residual, sol.dual_residual, sol.mu)
+            assert all(0.0 <= r <= inner_tol for r in residuals), residuals
+    assert optimal == 5
