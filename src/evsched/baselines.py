@@ -3,14 +3,22 @@
 Each takes the active EV states and greedily hands out the largest feasible
 rate in a fixed priority order: least laxity first, earliest deadline first,
 or round-robin one increment at a time. In quantized mode everyone is first
-pinned at their minimum nonzero pilot (falling back to a priority subset when
-even that does not fit), then raised along each stall's allowed pilot list.
+pinned at their minimum nonzero pilot, or at 0 where their bound lies below
+it (falling back to a priority subset when even that does not fit), then
+raised along each stall's allowed pilot list.
 
 Nothing is found by trial: with every other pilot fixed, the network's
 ``rate_window`` gives in one step the interval of rates one stall can take,
 and a rate is granted exactly when it lies in that window. In continuous mode
 the grant is the cap clipped to the window, in quantized mode the largest
 menu pilot inside it.
+
+Round-robin raises every stall one rung per sweep. Rates only rise within a
+sweep, and the affine form bounds the magnitude form, so when the sweep's end
+vector passes the affine check on every row, every intermediate vector passes
+too and each turn's window would have granted its step: such a sweep is
+committed whole from one check. Only a sweep that fails it is played turn by
+turn through the windows.
 """
 
 from __future__ import annotations
@@ -79,11 +87,30 @@ def _max_feasible(
 
 
 def _pinned_minimums(active: Sequence[EvState], network: ChargingNetwork) -> np.ndarray:
-    """Network-ordered vector with every active EV at its minimum nonzero pilot."""
+    """Network-ordered vector with every active EV at its minimum nonzero pilot.
+
+    An EV whose bound lies below that pilot has no nonzero pilot on its menu
+    within the bound, and is pinned at 0.
+    """
     vec = np.zeros(len(network))
     for s in active:
-        vec[network.evse_index[s.evse.id]] = min(s.evse.min_rate, s.pilot_upper_bound, s.evse.max_pilot)
+        if min(s.pilot_upper_bound, s.evse.max_pilot) >= s.evse.min_rate:
+            vec[network.evse_index[s.evse.id]] = s.evse.min_rate
     return vec
+
+
+def _pinned_fallback(
+    active: Sequence[EvState],
+    pinned: np.ndarray,
+    network: ChargingNetwork,
+    key: Callable[[EvState], float],
+    t: int,
+    mode: str,
+    tol: float,
+) -> dict[str, float]:
+    """The minimum-rate fallback over the EVs pinned above 0; an EV pinned at 0 gets 0."""
+    out = minimum_rate_fallback([s for s in active if pinned[network.evse_index[s.evse.id]] > 0], network, key, t, mode, tol)
+    return {**out, **{s.session.id: 0.0 for s in active if s.session.id not in out}}
 
 
 def _priority_pilots(
@@ -100,7 +127,7 @@ def _priority_pilots(
     if quantized:
         vec = _pinned_minimums(active, network)
         if not network.is_feasible(vec, t, mode, tol):
-            return minimum_rate_fallback(active, network, key, t, mode, tol)
+            return _pinned_fallback(active, vec, network, key, t, mode, tol)
     out = {}
     for state in order:
         cap = _rate_cap(state, quantized)
@@ -142,31 +169,45 @@ def rr_pilots(
     mode: str = "affine",
     tol: float = 1e-6,
 ) -> dict[str, float]:
-    """Round-robin: cycle arrivals, raising each pilot one step while it fits."""
+    """Round-robin: cycle arrivals, raising each pilot one step while it fits.
+
+    Each sweep first forms its end vector: a stall out of rungs (no next
+    pilot, or the next one over its cap) stops, every other live stall moves
+    one rung up. If that vector has nonnegative affine margins on every row,
+    the sweep is committed whole. This is exact: a turn sees the sweep's start
+    with some stalls already raised, which lies between start and end
+    componentwise, and the affine margins only fall as rates rise, so every
+    turn's vector would have passed the affine check, hence its window in
+    either mode (the windows' tol is far above the rounding of either check).
+    A sweep that fails the check is played turn by turn: a stall whose window
+    does not hold its next rung stops there.
+    """
     order = sorted(active, key=lambda s: (s.session.arrival, s.session.id))
     vec = np.zeros(len(network))
     if quantized:
         vec = _pinned_minimums(active, network)
         if not network.is_feasible(vec, t, mode, tol):
-            return minimum_rate_fallback(active, network, lambda s: float(s.session.arrival), t, mode, tol)
-    caps = {s.evse.id: _rate_cap(s, quantized) for s in active}
-    blocked: set[str] = set()
-    while len(blocked) < len(order):
-        for state in order:
-            evse = state.evse
-            if evse.id in blocked:
-                continue
-            i = network.evse_index[evse.id]
-            rate = float(vec[i])
-            nxt = evse.next_rate(rate) if quantized else rate + 1.0
-            if nxt is None or nxt > caps[evse.id] + 1e-9:
-                blocked.add(evse.id)
-                continue
-            lo, hi = network.rate_window(vec, i, t, mode, tol)
+            return _pinned_fallback(active, vec, network, lambda s: float(s.session.arrival), t, mode, tol)
+    live = [(network.evse_index[s.evse.id], s.evse, _rate_cap(s, quantized)) for s in order]
+    while live:
+        moving = []  # (stall, next rung) of every live stall that has one
+        for stall in live:
+            i, evse, cap = stall
+            nxt = evse.next_rate(float(vec[i])) if quantized else float(vec[i]) + 1.0
+            if nxt is not None and nxt <= cap + 1e-9:
+                moving.append((stall, nxt))
+        end = vec.copy()
+        for (i, _, _), nxt in moving:
+            end[i] = nxt
+        if (network.margins(end, t, "affine") >= 0).all():
+            vec, live = end, [stall for stall, _ in moving]
+            continue
+        live = []
+        for stall, nxt in moving:
+            lo, hi = network.rate_window(vec, stall[0], t, mode, tol)
             if lo <= nxt <= hi:
-                vec[i] = nxt
-            else:
-                blocked.add(evse.id)
+                vec[stall[0]] = nxt
+                live.append(stall)
     return {s.session.id: float(vec[network.evse_index[s.evse.id]]) for s in active}
 
 

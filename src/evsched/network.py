@@ -200,6 +200,10 @@ class ChargingNetwork:
         # constraint's value at period t.
         self._limit_table = _period_table(self.constraints, "limit", float)
         self._background_table = _period_table(self.constraints, "background", complex)
+        # |L_l(t)| by np.hypot, as the affine program rows take it, so the
+        # affine checks here and the rows the solver sees agree to the bit.
+        self._background_magnitudes = np.hypot(self._background_table.real, self._background_table.imag)
+        self._background_magnitudes.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.evses)
@@ -225,7 +229,7 @@ class ChargingNetwork:
 
     def aggregates(self, rates: Mapping[str, float] | Sequence[float], t: int = 0) -> np.ndarray:
         """Complex aggregate current of every constraint at period t, background included."""
-        return self._weights @ self._as_vector(rates) + self._backgrounds_at(t)
+        return self._weights @ self._as_vector(rates) + _at_period(self._background_table, t)
 
     def aggregate_phasor(self, constraint_id: str, rates: Mapping[str, float] | Sequence[float], t: int = 0) -> complex:
         """Complex aggregate current of one constraint, background included."""
@@ -240,19 +244,13 @@ class ChargingNetwork:
         """Read-only (m, periods) background phasors: column t holds every constraint's at period start + t."""
         return _profile(self._background_table, periods, start)
 
-    def _limits_at(self, t: int) -> np.ndarray:
-        return self._limit_table[:, min(t, self._limit_table.shape[1] - 1)]
-
-    def _backgrounds_at(self, t: int) -> np.ndarray:
-        return self._background_table[:, min(t, self._background_table.shape[1] - 1)]
-
     def margins(self, rates: Mapping[str, float] | Sequence[float], t: int = 0, mode: str = "soc") -> np.ndarray:
         """Per-constraint slack c_l(t) - |aggregate| (``soc``) or its affine bound; negative means violated."""
         if mode == "soc":
-            return self._limits_at(t) - np.abs(self.aggregates(rates, t))
+            return _at_period(self._limit_table, t) - np.abs(self.aggregates(rates, t))
         if mode == "affine":
             vec = self._as_vector(rates)
-            return self._limits_at(t) - (self._abs_weights @ np.abs(vec) + np.abs(self._backgrounds_at(t)))
+            return _at_period(self._limit_table, t) - (self._abs_weights @ np.abs(vec) + _at_period(self._background_magnitudes, t))
         raise ValueError(f"unknown feasibility mode {mode!r}")
 
     def is_feasible(self, rates, t: int = 0, mode: str = "soc", tol: float = 1e-6) -> bool:
@@ -271,18 +269,18 @@ class ChargingNetwork:
             raise ValueError(f"unknown feasibility mode {mode!r}")
         rest = np.array(vec, dtype=float)
         rest[i] = 0.0
-        cap = self._limits_at(t) + tol
+        cap = _at_period(self._limit_table, t) + tol
         on, off, mag, unit = self._columns[i]
         if mode == "affine":
             # |A_li| |r| <= c_l + tol - (sum_{j != i} |A_lj| |r_j| + |L_l|)
-            room = cap - (self._abs_weights @ np.abs(rest) + np.abs(self._backgrounds_at(t)))
+            room = cap - (self._abs_weights @ np.abs(rest) + _at_period(self._background_magnitudes, t))
             if len(off) and (room[off] < 0).any():
                 return _EMPTY
             hi = float((room[on] / mag).min()) if len(on) else math.inf
             return -hi, hi
         # |a_l + w_li r| <= c_l + tol with a_l the rest of the aggregate. With
         # p + jq = a_l conj(w_li) / |w_li| this is (p + |w_li| r)^2 <= (c_l + tol)^2 - q^2.
-        a = self._weights @ rest + self._backgrounds_at(t)
+        a = self._weights @ rest + _at_period(self._background_table, t)
         if len(off) and (np.abs(a[off]) > cap[off]).any():
             return _EMPTY
         if not len(on):
@@ -382,6 +380,11 @@ def _period_table(constraints: Sequence[NetworkConstraint], name: str, dtype: ty
         table[li, len(row) :] = row[-1]
     table.setflags(write=False)
     return table
+
+
+def _at_period(table: np.ndarray, t: int) -> np.ndarray:
+    """Column t of a period table, past its end its last column."""
+    return table[:, min(t, table.shape[1] - 1)]
 
 
 def _profile(table: np.ndarray, periods: int, start: int) -> np.ndarray:

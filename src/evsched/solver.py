@@ -38,6 +38,14 @@ equivalent sparse KKT system by LU. Epigraph and norm values become
 auxiliary variables minimized from above, so reported objectives are
 recomputed exactly from the returned point. A solution reports its last
 pass's relative primal and dual residuals and mu next to its status.
+
+Infeasibility is proved two ways. Before the first interior-point pass, one
+pass over the rows (program, auxiliary and seed tangents) takes each row's
+minimum over the box: a row whose minimum exceeds its right-hand side by
+more than the phase-1 threshold, relative to 1 + its l1 norm, proves the
+program infeasible with no Newton step. Otherwise, when an interior-point
+pass does not converge, a phase-1 solve that minimizes the worst violation
+of every row and bound decides, and catches rows infeasible only jointly.
 """
 
 from __future__ import annotations
@@ -296,6 +304,14 @@ class ConvexProgram:
 
 @dataclass(eq=False)
 class Solution:
+    """What ``solve`` returns: the point, its status and how the solve went.
+
+    A program proved infeasible by one row before any interior-point pass
+    carries the start point's program part as x, a NaN objective and
+    max_violation, 0 outer iterations, no cuts and an empty
+    ``inner_iterations``.
+    """
+
     x: np.ndarray
     status: str
     objective: float
@@ -634,8 +650,32 @@ def _certify_infeasible(G, h, lower, upper, A, b, x0) -> bool:
     x1, status, _, _ = _ipm_qp(P1, q1, G1, hb, lower1, np.full(n + 1, np.inf), A1, b, np.concatenate([x0, [t0]]))
     if status != OPTIMAL:
         return False
-    threshold = 1e-7 * (1.0 + float(np.max(np.abs(hb), initial=0.0)))
-    return x1[n] > threshold
+    return x1[n] > _phase1_threshold(hb)
+
+
+def _phase1_threshold(hb: np.ndarray) -> float:
+    """Optimal phase-1 t above this proves empty a system with right-hand sides and bounds hb."""
+    return 1e-7 * (1.0 + float(np.max(np.abs(hb), initial=0.0)))
+
+
+def _one_row_infeasible(rows: RowStore, lower: np.ndarray, upper: np.ndarray) -> bool:
+    """Whether one row's minimum over the box alone proves the program infeasible.
+
+    The one-row bound test of LP presolve (Andersen and Andersen, 1995). At
+    phase-1's optimum each bound may give way by t, so every row g with
+    right-hand side h has t (1 + ||g||_1) >= min over the box of g'x - h: that
+    excess over 1 + ||g||_1 is a floor under the optimal t, and a floor above
+    ``_certify_infeasible``'s threshold is its verdict without a Newton step.
+    A row whose minimum needs an infinite bound proves nothing; rows that are
+    only jointly infeasible are left to phase-1.
+    """
+    idx, coef, lens, rhs = rows.arrays()
+    bound = np.where(coef > 0, lower[idx], np.where(coef < 0, upper[idx], 0.0))
+    row_of = np.repeat(np.arange(len(rhs)), lens)
+    low = np.bincount(row_of, weights=coef * bound, minlength=len(rhs))
+    l1 = np.bincount(row_of, weights=np.abs(coef), minlength=len(rhs))
+    hb = np.concatenate([rhs, upper[np.isfinite(upper)], -lower[np.isfinite(lower)]])
+    return bool(((low - rhs) / (1.0 + l1) > _phase1_threshold(hb)).any())
 
 
 def _assemble(program: ConvexProgram):
@@ -718,6 +758,8 @@ def solve(program: ConvexProgram, tol: float = 1e-4, max_iter: int = 50) -> Solu
     if len(rows) == 0 and not (np.isfinite(lower).any() or np.isfinite(upper).any()):
         raise ProgramError("program has no inequality rows; add finite bounds")
     x0 = _initial_point(program, len(q))
+    if _one_row_infeasible(rows, lower, upper):
+        return Solution(x0[: program.n], INFEASIBLE, math.nan, math.nan, 0, 0, [])
     n_epi = len(program.epigraph_terms)
     history: list[float] = []
     inner: list[int] = []

@@ -7,6 +7,8 @@ the direct recursion, and the greedy pilot references find each rate by
 probing ``ChargingNetwork.is_feasible`` one trial vector at a time (no rate
 windows), and the row-by-row builder emits one network row per period and
 constraint through the constraints' own ``limit_at``/``background_at``.
+One reference does share a package path: ``turn_by_turn_rr`` is round-robin
+as one ``rate_window`` call per turn, the loop whole sweeps replaced.
 Tests compare package output against these.
 """
 
@@ -196,6 +198,18 @@ def _probe_min(state) -> float:
     return min(state.evse.min_rate, state.pilot_upper_bound, state.evse.max_pilot)
 
 
+def _probe_pinned(state) -> float:
+    """A quantized baseline's first pilot: the minimum nonzero one, or 0 when the bound lies below it."""
+    step = _probe_min(state)
+    return step if step >= state.evse.min_rate else 0.0
+
+
+def _probe_pinned_fallback(active, pinned, network, priority, t, mode, tol):
+    """The minimum-rate fallback over the EVs pinned above 0; the others get 0."""
+    out = probe_minimum_rate_fallback([s for s in active if pinned[s.evse.id] > 0], network, priority, t, mode, tol)
+    return {**out, **{s.session.id: 0.0 for s in active if s.session.id not in out}}
+
+
 def probe_minimum_rate_fallback(active, network, priority, t, mode, tol):
     order = sorted(active, key=lambda s: (priority(s), s.session.arrival, s.session.id))
     rates = {s.evse.id: 0.0 for s in active}
@@ -251,9 +265,9 @@ def probe_greedy_pilots(name: str, active, network, quantized: bool, t: int, mod
     key = {"llf": _probe_laxity, "edf": lambda s: float(s.session.departure), "rr": lambda s: float(s.session.arrival)}[name]
     rates = {s.evse.id: 0.0 for s in active}
     if quantized:
-        mins = {s.evse.id: _probe_min(s) for s in active}
+        mins = {s.evse.id: _probe_pinned(s) for s in active}
         if not network.is_feasible(mins, t, mode, tol):
-            return probe_minimum_rate_fallback(active, network, key, t, mode, tol)
+            return _probe_pinned_fallback(active, mins, network, key, t, mode, tol)
         rates = dict(mins)
     if name != "rr":
         out = {}
@@ -281,6 +295,41 @@ def probe_greedy_pilots(name: str, active, network, quantized: bool, t: int, mod
             else:
                 blocked.add(evse.id)
     return {s.session.id: rates[s.evse.id] for s in active}
+
+
+def turn_by_turn_rr(active, network, quantized: bool = False, t: int = 0, mode: str = "affine", tol: float = 1e-6):
+    """Round-robin pilots one turn at a time, each raise granted by its own ``rate_window``.
+
+    ``baselines.rr_pilots`` as it was before it committed whole sweeps from
+    one check; those sweeps must give these dicts bit for bit.
+    """
+    order = sorted(active, key=lambda s: (s.session.arrival, s.session.id))
+    vec = np.zeros(len(network))
+    if quantized:
+        pinned = {s.evse.id: _probe_pinned(s) for s in active}
+        for evse_id, rate in pinned.items():
+            vec[network.evse_index[evse_id]] = rate
+        if not network.is_feasible(vec, t, mode, tol):
+            return _probe_pinned_fallback(active, pinned, network, lambda s: float(s.session.arrival), t, mode, tol)
+    caps = {s.evse.id: _probe_cap(s, quantized) for s in active}
+    blocked: set[str] = set()
+    while len(blocked) < len(order):
+        for state in order:
+            evse = state.evse
+            if evse.id in blocked:
+                continue
+            i = network.evse_index[evse.id]
+            rate = float(vec[i])
+            nxt = evse.next_rate(rate) if quantized else rate + 1.0
+            if nxt is None or nxt > caps[evse.id] + 1e-9:
+                blocked.add(evse.id)
+                continue
+            lo, hi = network.rate_window(vec, i, t, mode, tol)
+            if lo <= nxt <= hi:
+                vec[i] = nxt
+            else:
+                blocked.add(evse.id)
+    return {s.session.id: float(vec[network.evse_index[s.evse.id]]) for s in active}
 
 
 def probe_quantize_and_reclaim(desired, network, bounds, order, t, mode, tol=1e-6):

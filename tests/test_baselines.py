@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evsched
 from evsched.baselines import (
@@ -17,7 +19,7 @@ from evsched.baselines import (
 from evsched.network import ChargingNetwork, NetworkConstraint, aerovironment, clippercreek, continuous_evse
 from evsched.scheduler import EvState
 from evsched.workload import Session
-from oracles import probe_greedy_pilots, random_site
+from oracles import probe_greedy_pilots, random_site, turn_by_turn_rr
 
 
 def _line(evses, limit):
@@ -139,6 +141,94 @@ def test_baselines_match_feasibility_probing(name, pilots):
                 else:
                     assert max(abs(got[k] - want[k]) for k in want) <= 1e-6
     assert paths["greedy"] > 4 * paths["fallback"] > 0
+
+
+def test_rr_sweeps_match_turn_by_turn():
+    """Sweeps committed whole from one affine check give the turn-by-turn dicts bit for bit."""
+    rng = np.random.default_rng(62)
+    cases = 0
+    for draw in range(400):
+        network, active = random_site(rng, varying_backgrounds=draw % 2 == 1)
+        if not active:
+            continue
+        t = int(rng.integers(0, 6))
+        for mode in ("affine", "soc"):
+            for quantized in (False, True):  # scenarios II and III
+                assert rr_pilots(active, network, quantized, t, mode) == turn_by_turn_rr(active, network, quantized, t, mode)
+                cases += 1
+    assert cases >= 1500
+
+
+def test_rr_asks_fewer_rate_windows_than_turn_by_turn(monkeypatch):
+    calls = []
+    window = ChargingNetwork.rate_window
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return window(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChargingNetwork, "rate_window", counted)
+    evses = [continuous_evse(f"E{i}", 32.0, 0.0) for i in range(4)]
+    roomy = _line(evses, 200.0)
+    states = [_state(f"s{i}", evses[i]) for i in range(4)]
+    assert rr_pilots(states, roomy) == {f"s{i}": 32.0 for i in range(4)}
+    assert calls == []  # every sweep fits whole
+
+    rng = np.random.default_rng(63)
+    ours = reference = 0
+    for _ in range(60):
+        network, active = random_site(rng)
+        for quantized in (False, True):
+            calls.clear()
+            rr_pilots(active, network, quantized, 0, "soc")
+            ours += len(calls)
+            calls.clear()
+            turn_by_turn_rr(active, network, quantized, 0, "soc")
+            reference += len(calls)
+    assert 0 < ours < reference
+
+
+def _on_menu(evse, rate: float) -> bool:
+    if evse.continuous:
+        return rate == 0.0 or evse.min_nonzero_rate <= rate <= evse.max_pilot
+    return rate in evse.allowable_rates
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    varying=st.booleans(),
+    t=st.integers(0, 6),
+    mode=st.sampled_from(["affine", "soc"]),
+    quantized=st.booleans(),
+)
+def test_baseline_pilots_are_feasible_capped_and_on_the_menu(seed, varying, t, mode, quantized):
+    network, active = random_site(np.random.default_rng(seed), varying_backgrounds=varying)
+    # A background over its limit leaves no feasible vector at all; then every pilot is 0.
+    room = network.is_feasible(np.zeros(len(network)), t, mode)
+    for pilots in (llf_pilots, edf_pilots, rr_pilots):
+        out = pilots(active, network, quantized, t, mode)
+        assert out.keys() == {s.session.id for s in active}
+        rates = {s.evse.id: out[s.session.id] for s in active}
+        assert network.is_feasible(rates, t, mode) if room else not any(rates.values())
+        for s in active:
+            rate, bound = out[s.session.id], min(s.evse.max_pilot, s.pilot_upper_bound)
+            need = s.remaining_energy if not quantized else s.evse.ceil_rate(s.remaining_energy)
+            assert 0.0 <= rate <= min(bound, need) + 1e-9
+            assert not quantized or _on_menu(s.evse, rate), (s.evse, rate)
+
+
+def test_quantized_bound_below_the_minimum_pilot_pins_zero():
+    evse = clippercreek("C1", 30.0)  # menu 0, 8, 16, 24, 32
+    other = clippercreek("C2", 30.0)
+    state, free = _state("a", evse, departure=5, energy=50.0), _state("b", other, departure=6, energy=50.0)
+    state.pilot_upper_bound = 7.0  # rampdown bound under the 8 A minimum
+    for limit in (80.0, 7.0):  # the pinned minimums fit; they do not and the fallback runs
+        net = _line([evse, other], limit)
+        for pilots in (llf_pilots, edf_pilots, rr_pilots):
+            out = pilots([state, free], net, quantized=True)
+            assert out["a"] == 0.0
+            assert out["b"] in ((8.0, 16.0, 24.0, 32.0) if limit == 80.0 else (0.0,))
 
 
 def test_baselines_import_no_scipy():

@@ -18,7 +18,7 @@ from evsched.network import (
     continuous_evse,
     synthetic_preset,
 )
-from oracles import phasor_sum
+from oracles import phasor_sum, random_site
 
 
 def two_phase_network(limit=18.0):
@@ -121,6 +121,28 @@ def test_profiles_read_each_period_like_limit_at_and_background_at():
     assert varied.limit_profile(0, 5).shape == (2, 0)
     with pytest.raises(ValueError):
         varied.background_profile(2, -1)
+
+
+def test_affine_checks_take_background_magnitudes_as_the_program_rows_do():
+    """Affine margins and windows subtract np.hypot of each background, the affine rows' right-hand side."""
+    rng = np.random.default_rng(17)
+    varied = 0
+    for _ in range(40):
+        net, _ = random_site(rng, varying_backgrounds=True)
+        limits, backgrounds = net.limit_profile(7), net.background_profile(7)
+        room = limits - np.hypot(backgrounds.real, backgrounds.imag)  # the rows' rhs at zero rates
+        varied += (backgrounds != backgrounds[:, :1]).any()
+        zeros = np.zeros(len(net))
+        for t in range(7):
+            assert net.margins(zeros, t, "affine").tobytes() == room[:, t].tobytes()
+            for i in range(len(net)):
+                mag = np.abs(net.weights[:, i])
+                on = mag > 0
+                hi = (room[on, t] / mag[on]).min() if on.any() else math.inf
+                if (room[~on, t] < 0).any():
+                    hi = -math.inf
+                assert net.rate_window(zeros, i, t, "affine", tol=0.0)[1] == hi
+    assert varied > 10
 
 
 def test_weights_are_read_only():

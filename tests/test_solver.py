@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evsched.solver as solver_mod
 from evsched.network import synthetic_preset
@@ -83,17 +85,22 @@ def test_cut_accounts_for_offsets():
     assert rhs == pytest.approx(2.0 - (4.0 / mag) * 1.0 - (2.0 / mag) * 2.0)
 
 
+def _proved_by_one_row(sol) -> bool:
+    return sol.status == INFEASIBLE and sol.outer_iterations == 0 and sol.inner_iterations == []
+
+
 def test_infeasible_detection():
+    # Each row's minimum over the box exceeds its right-hand side: proved with no Newton step.
     p = ConvexProgram.empty(1)
     p.lower[:] = 5.0
     p.upper[:] = 10.0
     p.add_ineq([0], [1.0], 1.0)
-    assert solve(p).status == INFEASIBLE
+    assert _proved_by_one_row(solve(p))
 
     q = ConvexProgram.empty(1)
     q.upper[:] = 1.0
     q.add_ineq([0], [-1.0], -1.5)
-    assert solve(q).status == INFEASIBLE
+    assert _proved_by_one_row(solve(q))
 
 
 def test_equality_rows():
@@ -320,15 +327,37 @@ def _infeasible_program():
     return p
 
 
+def _jointly_infeasible_rows():
+    """A free x with x <= 1 and -x <= -2: neither row alone has a finite minimum over the box."""
+    p = ConvexProgram.empty(1)
+    p.lower[:] = -np.inf
+    p.linear_cost[:] = 1.0
+    p.quad_cost[:] = 0.5
+    p.add_ineq([0], [1.0], 1.0)
+    p.add_ineq([0], [-1.0], -2.0)
+    return p
+
+
+def _jointly_infeasible_disk():
+    """x + y >= 3 against |x + jy| <= 2 on [0, 4]^2: the row and each seed tangent hold alone."""
+    p = ConvexProgram.empty(2)
+    p.upper[:] = 4.0
+    p.linear_cost[:] = [1.0, 0.5]
+    p.add_ineq([0, 1], [-1.0, -1.0], -3.0)
+    p.add_disk(LinExpr([0], [1.0]), LinExpr([1], [1.0]), 2.0)
+    return p
+
+
 def _factorization_programs():
     rng = np.random.default_rng(11)
     return [_site_program(), _mixed_bounds_program(), _infeasible_program()] + [
         random_grid_instance(rng) for _ in range(3)
-    ]
+    ] + [_jointly_infeasible_rows(), _jointly_infeasible_disk()]
 
 
 @pytest.mark.parametrize("prog", _factorization_programs(),
-                         ids=["site_soc", "mixed_bounds", "infeasible", "grid_a", "grid_b", "grid_c"])
+                         ids=["site_soc", "mixed_bounds", "infeasible", "grid_a", "grid_b", "grid_c",
+                              "joint_rows", "joint_disk"])
 def test_dense_and_sparse_newton_steps_agree(prog, monkeypatch):
     assert prog.n + len(prog.epigraph_terms) + len(prog.norm_terms) <= solver_mod._DENSE_MAX_N
     dense = solve(prog, tol=1e-6)
@@ -342,13 +371,17 @@ def test_dense_and_sparse_newton_steps_agree(prog, monkeypatch):
 
 
 def test_factorization_programs_cover_their_features():
-    site, mixed, infeasible = _factorization_programs()[:3]
+    programs = _factorization_programs()
+    site, mixed, infeasible = programs[:3]
     assert site.linear_eqs and site.epigraph_terms and site.norm_terms and site.disks
     assert np.isinf(site.lower).any() and (site.lower > 0).any()
     sol = solve(site, tol=1e-6)
     assert sol.status == OPTIMAL and sol.cuts_added > 0
     assert solve(mixed, tol=1e-6).status == OPTIMAL
-    assert solve(infeasible).status == INFEASIBLE
+    assert _proved_by_one_row(solve(infeasible))
+    for joint in programs[-2:]:  # through the Newton steps and phase-1
+        sol = solve(joint)
+        assert sol.status == INFEASIBLE and sol.outer_iterations == 1 and sol.inner_iterations[0] > 0
 
 
 def test_inner_iterations_one_count_per_outer_pass():
@@ -356,6 +389,7 @@ def test_inner_iterations_one_count_per_outer_pass():
         sol = solve(prog, tol=1e-6)
         assert len(sol.inner_iterations) == sol.outer_iterations
         assert all(k > 0 for k in sol.inner_iterations)
+        assert sol.outer_iterations > 0 or _proved_by_one_row(sol)
 
 
 def test_row_store_reads_back_its_rows():
@@ -443,3 +477,69 @@ def test_optimal_solutions_report_residuals_within_the_inner_tolerance():
             residuals = (sol.primal_residual, sol.dual_residual, sol.mu)
             assert all(0.0 <= r <= inner_tol for r in residuals), residuals
     assert optimal == 5
+
+
+_COEFS = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def _programs_around_a_feasible_point(draw):
+    """A program whose rows all hold at a known point x_f of its box, and x_f.
+
+    Bounds lie up to 5 below and above x_f or are infinite, rows have signed
+    coefficients and right-hand sides at or above G x_f, and a positive
+    quadratic cost keeps the optimum finite.
+    """
+    n = draw(st.integers(1, 4))
+    xf = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    gap = st.one_of(st.floats(0.0, 5.0), st.just(np.inf))
+    prog = ConvexProgram.empty(n)
+    prog.lower[:] = xf - np.array(draw(st.lists(gap, min_size=n, max_size=n)))
+    prog.upper[:] = xf + np.array(draw(st.lists(gap, min_size=n, max_size=n)))
+    prog.linear_cost[:] = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    prog.quad_cost[:] = draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n))
+    for _ in range(draw(st.integers(1, 4))):
+        coef = np.array(draw(st.lists(_COEFS, min_size=n, max_size=n)))
+        prog.add_ineq(np.arange(n), coef, float(coef @ xf) + draw(st.floats(0.0, 5.0)))
+    return prog, xf
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(_programs_around_a_feasible_point())
+def test_programs_with_a_feasible_point_are_never_proved_infeasible(case):
+    prog, xf = case
+    assert prog.row_violation(xf) <= 1e-9
+    assert solve(prog).status != INFEASIBLE
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(_programs_around_a_feasible_point(), st.data())
+def test_a_row_below_its_box_minimum_past_the_threshold_is_proved_without_a_newton_step(case, data):
+    prog, xf = case
+    k = data.draw(st.integers(0, len(prog.linear_ineqs) - 1))
+    expr, _ = prog.linear_ineqs[k]
+    # Close the bounds row k's minimum needs, then move its right-hand side
+    # below that minimum by f times the phase-1 threshold, times 1 + ||row||_1:
+    # proved at f >= 2, left to the interior point at f <= 1/2.
+    needs_lower, needs_upper = expr.coef > 0, expr.coef < 0  # rows span every variable in order
+    open_lower, open_upper = needs_lower & np.isinf(prog.lower), needs_upper & np.isinf(prog.upper)
+    prog.lower[open_lower] = xf[open_lower] - 1.0
+    prog.upper[open_upper] = xf[open_upper] + 1.0
+    low = float(expr.coef @ np.where(needs_lower, prog.lower, np.where(needs_upper, prog.upper, 0.0)))
+    l1 = float(np.abs(expr.coef).sum())
+    scale = max([abs(low)] + [abs(r) for _, r in prog.linear_ineqs]
+                + np.abs(prog.lower[np.isfinite(prog.lower)]).tolist() + np.abs(prog.upper[np.isfinite(prog.upper)]).tolist())
+    f = data.draw(st.one_of(st.floats(2.0, 1e6), st.floats(0.0, 0.5)))
+    rows = RowStore()
+    for j, (e, r) in enumerate(prog.linear_ineqs):
+        rows.append(e.idx, e.coef, low - f * (1.0 + l1) * 1e-7 * (1.0 + scale) if j == k else r)
+    prog.linear_ineqs = rows
+
+    sol = solve(prog)
+    if f <= 0.5:
+        assert sol.outer_iterations > 0 and sol.inner_iterations[0] > 0
+        return
+    assert _proved_by_one_row(sol)
+    lo = np.where(np.isfinite(prog.lower), prog.lower, 0.0)
+    assert sol.x.tolist() == (0.5 * (lo + np.where(np.isfinite(prog.upper), prog.upper, lo + 2.0))).tolist()
+    assert math.isnan(sol.objective) and sol.cuts_added == 0
