@@ -144,18 +144,6 @@ class NetworkConstraint:
     limit: float | np.ndarray
     background: complex | np.ndarray = 0j
 
-    def limit_at(self, t: int) -> float:
-        if np.ndim(self.limit) == 0:
-            return float(self.limit)
-        arr = np.asarray(self.limit)
-        return float(arr[min(t, len(arr) - 1)])
-
-    def background_at(self, t: int) -> complex:
-        if np.ndim(self.background) == 0:
-            return complex(self.background)
-        arr = np.asarray(self.background)
-        return complex(arr[min(t, len(arr) - 1)])
-
 
 class ChargingNetwork:
     """EVSEs plus the constraint set they share.
@@ -230,11 +218,6 @@ class ChargingNetwork:
     def aggregates(self, rates: Mapping[str, float] | Sequence[float], t: int = 0) -> np.ndarray:
         """Complex aggregate current of every constraint at period t, background included."""
         return self._weights @ self._as_vector(rates) + _at_period(self._background_table, t)
-
-    def aggregate_phasor(self, constraint_id: str, rates: Mapping[str, float] | Sequence[float], t: int = 0) -> complex:
-        """Complex aggregate current of one constraint, background included."""
-        li = self.constraint_index[constraint_id]
-        return complex(self.aggregates(rates, t)[li])
 
     def limit_profile(self, periods: int, start: int = 0) -> np.ndarray:
         """Read-only (m, periods) limits: column t holds every constraint's limit at period start + t."""

@@ -305,17 +305,21 @@ def minimum_rate_fallback(
     t: int = 0,
     mode: str = "affine",
     tol: float = 1e-6,
+    quantized: bool = False,
 ) -> dict[str, float]:
     """Give EVs their smallest nonzero pilot in priority order while feasible.
 
     Used when the optimization cannot honor every plugged-in EV's minimum
-    rate: the most urgent EVs keep charging, the rest wait at zero.
+    rate: the most urgent EVs keep charging, the rest wait at zero. An EV's
+    smallest pilot is its minimum rate capped by its bound; with quantized
+    pilots a bound under the minimum rate leaves no nonzero pilot, and 0.
     """
     order = sorted(active, key=lambda s: (priority(s), s.session.arrival, s.session.id))
     vec = np.zeros(len(network))
     out = {}
     for state in order:
-        step = min(state.evse.min_rate, state.pilot_upper_bound, state.evse.max_pilot)
+        bound = min(state.pilot_upper_bound, state.evse.max_pilot)
+        step = 0.0 if quantized and bound < state.evse.min_rate else min(state.evse.min_rate, bound)
         out[state.session.id] = 0.0
         if step > 0:
             i = network.evse_index[state.evse.id]
@@ -492,7 +496,7 @@ def lookahead_windows(active: Sequence[EvState], horizon: int, quantized: bool =
     A window lasts while its EV is still present, capped at the horizon. Its
     first-period bound is the EV's rampdown bound; in quantized mode its
     first-period rate also gets the EVSE's minimum nonzero pilot as a lower
-    bound.
+    bound, or 0 when the rampdown bound lies under that pilot.
     """
     windows = []
     for s in sorted(active, key=lambda s: (s.session.arrival, s.session.id)):
@@ -501,7 +505,8 @@ def lookahead_windows(active: Sequence[EvState], horizon: int, quantized: bool =
         upper[:1] = first_bound
         # Clamp by remaining energy so a nearly-done EV cannot make the
         # program infeasible (lower bound above its own energy row).
-        lower = min(s.evse.min_rate, first_bound, s.remaining_energy) if quantized else 0.0
+        pinned = quantized and first_bound >= s.evse.min_rate
+        lower = min(s.evse.min_rate, s.remaining_energy) if pinned else 0.0
         windows.append(Window(s.session.id, s.evse, 0, upper, lower, s.remaining_energy))
     return windows
 
@@ -677,7 +682,6 @@ class AdaptiveScheduler:
         constraint_mode: str = "affine",
         period_minutes: float = 5.0,
         tol: float = 1e-4,
-        solver_max_iter: int = 50,
     ):
         if horizon < 1 or recompute_period < 1:
             raise ValueError("horizon and recompute period must be positive")
@@ -689,7 +693,6 @@ class AdaptiveScheduler:
         self.constraint_mode = constraint_mode
         self.period_minutes = period_minutes
         self.tol = tol
-        self.solver_max_iter = solver_max_iter
         self._schedule: Schedule | None = None
         self.solve_count = 0
         self.fallback_count = 0
@@ -731,7 +734,7 @@ class AdaptiveScheduler:
             except QuantizationError as exc:
                 self.fallback_count += 1
                 logger.info("%s; using minimum-rate fallback", exc)
-                return minimum_rate_fallback(active, self.network, laxity, k, self.constraint_mode)
+                return minimum_rate_fallback(active, self.network, laxity, k, self.constraint_mode, quantized=True)
             return {s.session.id: quantized[s.evse.id] for s in active}
         return {
             s.session.id: float(np.clip(sched.rate_at(s.session.id, k), 0.0, min(s.pilot_upper_bound, s.evse.max_pilot)))
@@ -750,7 +753,7 @@ class AdaptiveScheduler:
             quantized=self.quantized,
             period_minutes=self.period_minutes,
         )
-        solution = solve(program, tol=self.tol, max_iter=self.solver_max_iter)
+        solution = solve(program, tol=self.tol)
         self.solve_count += 1
         usable = solution.status == OPTIMAL or (
             solution.status == MAX_ITER
@@ -763,5 +766,5 @@ class AdaptiveScheduler:
             return
         self.fallback_count += 1
         logger.info("solve at period %d unusable (%s); using minimum-rate fallback", k, solution.status)
-        fallback = minimum_rate_fallback(active, self.network, laxity, k, self.constraint_mode)
+        fallback = minimum_rate_fallback(active, self.network, laxity, k, self.constraint_mode, quantized=self.quantized)
         self._schedule = Schedule({sid: np.array([r]) for sid, r in fallback.items()}, k, 1)

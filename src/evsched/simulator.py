@@ -342,7 +342,6 @@ def offline_optimal(
     *,
     constraint_mode: str = "affine",
     tol: float = 1e-4,
-    solver_max_iter: int = 50,
 ) -> tuple[SimResult, dict[str, np.ndarray]]:
     """Hindsight benchmark: one solve over the whole window, then replay.
 
@@ -359,7 +358,7 @@ def offline_optimal(
         hindsight_windows(sessions, network, K), utility, network, K,
         constraint_mode=constraint_mode, period_minutes=config.period_minutes,
     )
-    solution = solve(program, tol=tol, max_iter=solver_max_iter)
+    solution = solve(program, tol=tol)
     if solution.status != OPTIMAL:
         raise RuntimeError(f"offline benchmark solve ended with status {solution.status}")
     schedule = varmap.schedule(solution.x)

@@ -1,51 +1,31 @@
 """Concave quadratic maximization over boxes, linear rows, disk and norm constraints.
 
-Programs here maximize
+Programs maximize f'x - sum_i d_i x_i^2 + const - sum_e w_e max_m(a_em'x + b_em)
+- sum_n w_n ||(a_nm'x + b_nm)_m||_2 subject to box bounds, inequality and
+equality rows held in ``RowStore`` flat arrays, and disks
+|(re'x + o_re) + j(im'x + o_im)| <= limit. Epigraph and norm values become
+auxiliaries z minimized from above (an epigraph term adds rows e - z <= 0);
+objectives are recomputed exactly from the point. Disks and norm terms are
+second-order cones: (limit, re'x + o_re, im'x + o_im) in Q^3 and
+(z, a_1'x + b_1, ..) in Q^(1+m).
 
-    f'x - sum_i d_i x_i^2 + const
-        - sum_e w_e * max_m(a_em'x + b_em)          (epigraph terms)
-        - sum_n w_n * || (a_nm'x + b_nm)_m ||_2     (norm terms)
+One primal-dual Mehrotra predictor-corrector method (Wright, 1997) solves
+the program, rows and finite bounds in the nonnegative orthant and each
+cone scaled at its Nesterov-Todd point as in CVXOPT's coneqp and ECOS
+(Domahidi, Chu and Boyd, 2013); a cone counts as degree 1 in mu. A bound
+only adds its barrier weight z/s to the diagonal. Each Newton step solves
+(P + delta + G'HG) dx = r, H being z/s on a row and (W^2 + delta)^-1 on a
+cone with NT scaling W, by dense Cholesky up to a thousand variables and
+otherwise by sparse LU of the KKT system, in which a cone has the dense
+block -(W^2 + delta). What depends only on the program is fixed once per
+call, as in OSQP. A solution reports its relative residuals and mu.
 
-subject to box bounds, linear inequality and equality rows, and magnitude
-("disk") constraints  |(re'x + o_re) + j(im'x + o_im)| <= limit.
-
-A program keeps its linear rows in a ``RowStore``: every row's indices and
-coefficients back to back in two flat arrays, with per-row lengths and
-right-hand sides. Builders append rows one at a time or as whole blocks of
-arrays, and the solver reads the block as it is as a csr matrix. Read as a
-sequence, the store yields one ``(LinExpr, rhs)`` per row.
-
-Disks and norms are handled by polyhedral outer approximation: each disk is
-seeded with a regular polygon of tangent half-planes and tightened with
-supporting-hyperplane cuts at violating points; every violated constraint
-receives a cut each outer iteration, so the relaxation only shrinks. The
-polygon contains the disk, hence intermediate iterates can overshoot a limit
-by a few percent at most and the final iterate by at most ``tol``. Cuts go
-to the solve's own copy of the rows, never to the program.
-
-The inner quadratic program is solved by a Mehrotra predictor-corrector
-primal-dual interior-point method (Wright, 1997, normal-equation form). Box
-bounds are not rows: each finite bound only adds its barrier weight z/s to
-the diagonal. Each Newton step solves the regularized normal equations
-(P + delta + G'WG) dx = r, with W the rows' weights z/s. As in OSQP, what
-depends only on the program is fixed once per call: the pattern of G'WG,
-the row scaling and the LAPACK routines. An iteration then does numeric
-work only: G'WG's values by one bincount, products by G and G' by bincounts
-over the csr entries, G dx once per step, and the step length in one pass
-over s and z. Programs with up to a thousand variables factor the normal
-matrix densely by Cholesky (LAPACK potrf/potrs); larger ones factor the
-equivalent sparse KKT system by LU. Epigraph and norm values become
-auxiliary variables minimized from above, so reported objectives are
-recomputed exactly from the returned point. A solution reports its last
-pass's relative primal and dual residuals and mu next to its status.
-
-Infeasibility is proved two ways. Before the first interior-point pass, one
-pass over the rows (program, auxiliary and seed tangents) takes each row's
-minimum over the box: a row whose minimum exceeds its right-hand side by
-more than the phase-1 threshold, relative to 1 + its l1 norm, proves the
-program infeasible with no Newton step. Otherwise, when an interior-point
-pass does not converge, a phase-1 solve that minimizes the worst violation
-of every row and bound decides, and catches rows infeasible only jointly.
+Infeasibility is proved two ways. One pass over the rows, and _TANGENTS
+half-planes circumscribing each disk, takes each row's minimum over the
+box: one above the right-hand side by more than the phase-1 threshold,
+relative to 1 + the row's l1 norm, proves the program infeasible. When the
+interior point does not converge, phase-1 decides: it minimizes t with every
+row and bound relaxed by t and t added to each cone's first entry.
 """
 
 from __future__ import annotations
@@ -56,33 +36,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# scipy takes about 30 MB and a quarter of a second to import, and only a
-# solve needs it: the baselines and the simulator never do. ``solve`` binds
-# these names on its first call.
+# scipy takes about 30 MB and a quarter of a second to import, and only a solve
+# needs it, not the baselines or the simulator: ``solve`` binds these names.
 sla = sp = spla = None
 
-__all__ = [
-    "LinExpr",
-    "DiskConstraint",
-    "EpigraphTerm",
-    "NormTerm",
-    "ConvexProgram",
-    "RowStore",
-    "Solution",
-    "ProgramError",
-    "add_soc_cut",
-    "solve",
-    "OPTIMAL",
-    "INFEASIBLE",
-    "MAX_ITER",
-]
+__all__ = ["LinExpr", "DiskConstraint", "EpigraphTerm", "NormTerm", "ConvexProgram", "RowStore", "Solution",
+           "ProgramError", "solve", "OPTIMAL", "INFEASIBLE", "MAX_ITER"]
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 MAX_ITER = "max_iter"
 
-SEED_TANGENTS = 16
+_TANGENTS = 16
 _INNER_MAX_ITER = 100
+_DELTA = 1e-9  # the interior point's regularization until a factorization fails
 
 
 class ProgramError(ValueError):
@@ -118,10 +85,6 @@ class DiskConstraint:
     def phasor(self, x: np.ndarray) -> tuple[float, float]:
         return self.real.value(x), self.imag.value(x)
 
-    def violation(self, x: np.ndarray) -> float:
-        re, im = self.phasor(x)
-        return math.hypot(re, im) - self.limit
-
 
 @dataclass(eq=False)
 class EpigraphTerm:
@@ -141,20 +104,16 @@ class NormTerm:
     weight: float
     exprs: list[LinExpr]
 
-    def values(self, x: np.ndarray) -> np.ndarray:
-        return np.array([e.value(x) for e in self.exprs])
-
     def value(self, x: np.ndarray) -> float:
-        return float(np.linalg.norm(self.values(x)))
+        return float(np.linalg.norm([e.value(x) for e in self.exprs]))
 
 
 class RowStore(Sequence):
     """Sparse rows coef @ x[idx] against a right-hand side, held as flat arrays.
 
-    Row k's indices and coefficients are the next ``lens[k]`` entries of
-    ``idx`` and ``coef``. Appends are collected and joined on the next read,
-    so building row by row or block by block costs one concatenation. As a
-    sequence, item k is ``(LinExpr, rhs)`` over read-only views of the arrays.
+    Row k's indices and coefficients are the next ``lens[k]`` entries of ``idx``
+    and ``coef``; appends are joined on the next read. As a sequence, item k is
+    ``(LinExpr, rhs)`` over read-only views of the arrays.
     """
 
     def __init__(self) -> None:
@@ -174,8 +133,7 @@ class RowStore(Sequence):
 
     def append(self, idx: Sequence[int], coef: Sequence[float], rhs: float) -> None:
         """One row coef @ x[idx] against rhs."""
-        idx = np.asarray(idx, dtype=int)
-        self.extend(idx, coef, [idx.size], [rhs])
+        self.extend(idx, coef, [np.size(idx)], [rhs])
 
     def extend(self, idx, coef, lens, rhs) -> None:
         """Rows as flat arrays: row k is the next lens[k] entries of idx and coef."""
@@ -236,13 +194,7 @@ class ConvexProgram:
 
     @classmethod
     def empty(cls, n: int) -> "ConvexProgram":
-        return cls(
-            n=n,
-            linear_cost=np.zeros(n),
-            quad_cost=np.zeros(n),
-            lower=np.zeros(n),
-            upper=np.full(n, np.inf),
-        )
+        return cls(n=n, linear_cost=np.zeros(n), quad_cost=np.zeros(n), lower=np.zeros(n), upper=np.full(n, np.inf))
 
     def add_ineq(self, idx: Sequence[int], coef: Sequence[float], rhs: float) -> None:
         self.linear_ineqs.append(idx, coef, rhs)
@@ -259,119 +211,66 @@ class ConvexProgram:
 
     def validate(self) -> None:
         for name in ("linear_cost", "quad_cost", "lower", "upper"):
-            arr = getattr(self, name)
-            if np.asarray(arr).shape != (self.n,):
+            if np.asarray(getattr(self, name)).shape != (self.n,):
                 raise ProgramError(f"{name} must have shape ({self.n},)")
         if np.any(self.quad_cost < 0):
             raise ProgramError("quadratic coefficients must be nonnegative (concave objective)")
         if np.any(self.lower > self.upper):
             raise ProgramError("lower bound exceeds upper bound")
-        for d in self.disks:
-            if d.limit < 0:
-                raise ProgramError("disk limit must be nonnegative")
-        for t in list(self.epigraph_terms) + list(self.norm_terms):
-            if t.weight < 0:
-                raise ProgramError("penalty weights must be nonnegative")
-            if not t.exprs:
-                raise ProgramError("penalty term needs at least one expression")
+        if any(d.limit < 0 for d in self.disks):
+            raise ProgramError("disk limit must be nonnegative")
+        if any(t.weight < 0 for t in self.epigraph_terms + self.norm_terms):
+            raise ProgramError("penalty weights must be nonnegative")
+        if not all(t.exprs for t in self.epigraph_terms + self.norm_terms):
+            raise ProgramError("penalty term needs at least one expression")
 
     def objective_value(self, x: np.ndarray) -> float:
         """Exact objective at x (auxiliary-variable free)."""
         v = float(self.linear_cost @ x - self.quad_cost @ (x * x)) + self.objective_const
-        for term in self.epigraph_terms:
-            v -= term.weight * term.value(x)
-        for term in self.norm_terms:
+        for term in self.epigraph_terms + self.norm_terms:
             v -= term.weight * term.value(x)
         return v
 
     def max_violation(self, x: np.ndarray) -> float:
         """Worst disk-constraint violation at x, in limit units (0 if none)."""
-        worst = 0.0
-        for d in self.disks:
-            worst = max(worst, d.violation(x))
-        return worst
+        return max([0.0] + [math.hypot(*d.phasor(x)) - d.limit for d in self.disks])
 
     def row_violation(self, x: np.ndarray) -> float:
         """Worst violation at x of the bounds, inequality rows and equality rows (0 if none)."""
-        return max(
-            0.0,
-            float(np.max(self.lower - x)),
-            float(np.max(x - self.upper)),
-            float(np.max(self.linear_ineqs.residuals(x), initial=0.0)),
-            float(np.max(np.abs(self.linear_eqs.residuals(x)), initial=0.0)),
-        )
+        return max(0.0, float(np.max(self.lower - x)), float(np.max(x - self.upper)),
+                   float(np.max(self.linear_ineqs.residuals(x), initial=0.0)),
+                   float(np.max(np.abs(self.linear_eqs.residuals(x)), initial=0.0)))
 
 
 @dataclass(eq=False)
 class Solution:
     """What ``solve`` returns: the point, its status and how the solve went.
 
-    A program proved infeasible by one row before any interior-point pass
-    carries the start point's program part as x, a NaN objective and
-    max_violation, 0 outer iterations, no cuts and an empty
-    ``inner_iterations``.
+    A program proved infeasible by one row carries the start point as x, NaN
+    objective and max_violation and no iterations. Residuals and mu at x are
+    scaled as the stopping test scales them: optimal means each within tolerance.
     """
 
     x: np.ndarray
     status: str
     objective: float
-    max_violation: float
-    outer_iterations: int
-    cuts_added: int
-    violation_history: list[float]
-    inner_iterations: list[int] = field(default_factory=list)  # Mehrotra iterations, one per outer pass
-    # The last pass's scaled primal and dual residuals and complementarity mu
-    # at x, relative to 1 + max|rhs| and 1 + max|cost| as its stopping test
-    # measures them: an optimal pass has each at most its tolerance.
+    max_violation: float  # worst disk violation at x, in limit units
+    inner_iterations: int  # Mehrotra iterations of the interior point
     primal_residual: float = math.nan
     dual_residual: float = math.nan
     mu: float = math.nan
+    cuts_added = 0  # per-solve records still read it; cones need no cuts
 
-
-def add_soc_cut(program: ConvexProgram, disk_index: int, x: np.ndarray) -> tuple[LinExpr, float]:
-    """Supporting half-plane of a violated disk at the point's phasor image.
-
-    For a phasor u outside the disk of radius ``limit``, the tangent at the
-    boundary point nearest u is  (u/|u|) . v <= limit, which cuts u off while
-    keeping the whole disk. Appends the row to the program and returns it.
-    Raises ValueError if the point does not actually violate the disk.
-    """
-    disk = program.disks[disk_index]
-    re, im = disk.phasor(x)
-    mag = math.hypot(re, im)
-    if mag <= disk.limit:
-        raise ValueError(f"point does not violate disk {disk_index} ({mag:.6g} <= {disk.limit:.6g})")
-    idx, coef, rhs = _tangent_rows(disk, np.array([re / mag]), np.array([im / mag]))
-    program.add_ineq(idx, coef[0], rhs[0])
-    return program.linear_ineqs[-1]
-
-
-_SEED_ANGLES = 2.0 * np.pi * (np.arange(SEED_TANGENTS) + 0.5) / SEED_TANGENTS
-
-
-def _tangent_rows(disk: DiskConstraint, c: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Half-planes c_k re + s_k im <= limit on the disk's phasor, one per direction k.
-
-    Returns the union index of the disk's real and imaginary parts, the
-    (len(c), len(idx)) coefficient block over it and the right-hand sides.
-    """
-    idx, inv = np.unique(np.concatenate([disk.real.idx, disk.imag.idx]), return_inverse=True)
-    k = len(disk.real.idx)
-    re = np.bincount(inv[:k], weights=disk.real.coef, minlength=len(idx))
-    im = np.bincount(inv[k:], weights=disk.imag.coef, minlength=len(idx))
-    coef = np.outer(c, re) + np.outer(s, im)
-    rhs = disk.limit - c * disk.real.const - s * disk.imag.const
-    return idx, coef, rhs
+    @property
+    def outer_iterations(self) -> int:
+        """1 when the interior point ran, 0 when one row proved the program infeasible."""
+        return int(self.inner_iterations > 0)
 
 
 def _row_scaled(M: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
     """M with each row divided by its max |entry| (1.0 for empty rows), and those divisors.
 
-    Each row's entries come out in reverse, the order scipy's product
-    ``diags(1 / scale) @ M`` gives them, so sums along a row round as they do
-    over that product and solutions stay bit-identical to it. Unlike the
-    product this keeps duplicate entries and explicit zeros, which changes
-    no value, only perhaps the last bit of a sum.
+    Each row's entries come out reversed, as scipy's ``diags(1 / scale) @ M`` orders them.
     """
     lens = np.diff(M.indptr)
     scale = np.ones(M.shape[0])
@@ -384,79 +283,209 @@ def _row_scaled(M: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
     return sp.csr_matrix((data, M.indices[rev], M.indptr), shape=M.shape), scale
 
 
-class _Inequalities:
-    """Gx <= h and the finite bounds, laid out as [rows, upper bounds, lower bounds].
+class _Cones:
+    """Second-order cones Q^q = {u : u_0 >= ||u_1:||} of sizes ``dims``, back to back in one vector."""
 
-    Bounds are applied by indexing; ``stacked`` writes them out as unit rows
-    for the callers that need one matrix.
+    def __init__(self, dims: np.ndarray):
+        self.dims, self.count = dims, len(dims)
+        self.starts = np.cumsum(dims) - dims
+        self.seg = np.repeat(np.arange(self.count), dims)
+        self.tail = np.arange(int(dims.sum())) != np.repeat(self.starts, dims)
+
+    def sum(self, v: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(v, self.starts)
+
+    def tail_norm(self, u: np.ndarray) -> np.ndarray:
+        return np.sqrt(self.sum(np.where(self.tail, u * u, 0.0)))
+
+    def det(self, u: np.ndarray) -> np.ndarray:
+        """u_0^2 - ||u_1:||^2 per cone, factored so that points near the boundary keep their digits."""
+        u0, r = u[self.starts], self.tail_norm(u)
+        return (u0 - r) * (u0 + r)
+
+    def max_step(self, u: np.ndarray, du: np.ndarray) -> float:
+        """The largest alpha keeping u + alpha du in every cone (inf if unbounded), as ECOS finds it."""
+        norm = np.sqrt(self.det(u))
+        ub = u / norm[self.seg]
+        ubJdu = self.sum(np.where(self.tail, -ub * du, ub * du))
+        factor = (ubJdu + du[self.starts]) / (ub[self.starts] + 1.0)
+        excess = (self.tail_norm(np.where(self.tail, du - factor[self.seg] * ub, 0.0)) - ubJdu) / norm
+        return float((1.0 / excess[excess > 0]).min()) if (excess > 0).any() else math.inf
+
+
+class _Scaling:
+    """The Nesterov-Todd scaling W of each cone and the scaled point lambda (Vandenberghe, 2010).
+
+    W z = W^-1 s = lambda. With sb = s/sqrt(det s), zb likewise and
+    gamma^2 = (1 + sb'zb)/2, W = eta V: eta^4 = det s/det z, and V, the
+    hyperbolic rotation [[a, v'], [v, I + vv'/(1 + a)]], takes e to
+    w = (a, v) = (sb + J zb)/(2 gamma), J = diag(1, -1, ..); J V J is V with -v.
+    Near a boundary sb and zb lose their digits, so only the start is scaled
+    from (s, z); a step composes W with the scaling of lambda + alpha W^-1 ds
+    and lambda + alpha W dz, which stay well inside. W^2 = eta^2 (2ww' - J)
+    has the eigenvalues eta^2 (a + |v|)^(+-2) on e+- = (1, +-v/|v|)/sqrt(2)
+    and eta^2 elsewhere: functions of W^2 are formed from them, not 2ww' - J.
     """
 
-    def __init__(self, G: sp.csr_matrix, h: np.ndarray, lower: np.ndarray, upper: np.ndarray):
-        self.G = G
+    def __init__(self, cones: _Cones, s: np.ndarray, z: np.ndarray):
+        c = self.cones = cones
+        snorm, znorm = np.sqrt(c.det(s)), np.sqrt(c.det(z))
+        sb, zb = s / snorm[c.seg], z / znorm[c.seg]
+        self.gamma = np.sqrt(0.5 * (1.0 + c.sum(sb * zb)))
+        self.eta, self.lam_det = np.sqrt(snorm / znorm), snorm * znorm
+        self._set_w((sb + np.where(c.tail, -zb, zb)) / (2.0 * self.gamma[c.seg]))
+        self._set_lam(zb)
+
+    def _set_w(self, w: np.ndarray) -> None:
+        c = self.cones
+        self.a, self.v = w[c.starts], np.where(c.tail, w, 0.0)
+        r = c.tail_norm(w)
+        self.big = (self.a + r) ** 2
+        self.ep = np.where(c.tail, self.v / np.where(r > 0, r, 1.0)[c.seg], 1.0) / math.sqrt(2.0)
+        self.em = np.where(c.tail, -self.ep, self.ep)
+
+    def _set_lam(self, zb: np.ndarray) -> None:
+        """lambda = W z from zb = z/sqrt(det z)."""
+        c = self.cones
+        tail = zb + self.v * ((zb[c.starts] + self.gamma) / (1.0 + self.a))[c.seg]
+        self.zb, self.lam = zb, np.sqrt(self.lam_det)[c.seg] * np.where(c.tail, tail, self.gamma[c.seg])
+
+    def then(self, ds: np.ndarray, dz: np.ndarray, alpha: float) -> "_Scaling":
+        """The scaling after a step alpha along the scaled directions ds = W^-1 ds and dz = W dz."""
+        out = _Scaling(self.cones, self.lam + alpha * ds, self.lam + alpha * dz)
+        out._set_w(self._V(np.where(self.cones.tail, out.v, out.a[self.cones.seg]), self.v))
+        out.eta = out.eta * self.eta
+        out._set_lam(self._V(out.zb, -self.v))
+        return out
+
+    def _V(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        c = self.cones
+        vu, u0 = c.sum(v * u), u[c.starts]
+        return np.where(c.tail, u + v * (u0 + vu / (1.0 + self.a))[c.seg], (self.a * u0 + vu)[c.seg])
+
+    def scale(self, u: np.ndarray) -> np.ndarray:
+        """W u."""
+        return self.eta[self.cones.seg] * self._V(u, self.v)
+
+    def unscale(self, u: np.ndarray) -> np.ndarray:
+        """W^-1 u."""
+        return self._V(u, -self.v) / self.eta[self.cones.seg]
+
+    def spectrum(self, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """f(W^2) = p e+e+' + m e-e-' + r I per cone: (p, m, r)."""
+        eta2 = self.eta**2
+        rest = f(eta2)
+        return f(eta2 * self.big) - rest, f(eta2 / self.big) - rest, rest
+
+    def entries(self, f, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Entries (i, j) of f(W^2), for i and j in one cone."""
+        p, m, r = (x[self.cones.seg[i]] for x in self.spectrum(f))
+        return p * self.ep[i] * self.ep[j] + m * self.em[i] * self.em[j] + r * (i == j)
+
+    def hmul(self, u: np.ndarray) -> np.ndarray:
+        """(W^2 + _DELTA)^-1 u."""
+        c = self.cones
+        p, m, r = (x[c.seg] for x in self.spectrum(lambda e: 1.0 / (e + _DELTA)))
+        return p * self.ep * c.sum(self.ep * u)[c.seg] + m * self.em * c.sum(self.em * u)[c.seg] + r * u
+
+    def centering(self, ds: np.ndarray, dz: np.ndarray, sigma_mu: float) -> np.ndarray:
+        """-W (lambda \\ (sigma mu e - ds o dz)) for scaled ds, dz, u o v = (u'v, u_0 v_1: + v_0 u_1:)
+        the Jordan product: the cones' part of the corrector, on a row (ds dz - sigma mu)/z."""
+        c = self.cones
+        st, seg, tail, lam = c.starts, c.seg, c.tail, self.lam
+        r = np.where(tail, -(ds[st][seg] * dz + dz[st][seg] * ds), sigma_mu - c.sum(ds * dz)[seg])
+        x0 = (lam[st] * r[st] - c.sum(np.where(tail, lam * r, 0.0))) / self.lam_det
+        return -self.scale(np.where(tail, (r - x0[seg] * lam) / lam[st][seg], x0[seg]))
+
+
+class _Inequalities:
+    """Gx <= h, the finite bounds and the cones, laid out as [rows, upper bounds, lower bounds, cones].
+
+    G holds the m rows, then the cones' rows G_c with h_c - G_c x in the cones;
+    the first ``orth`` entries of s and z lie in the orthant. Bounds are indexed.
+    """
+
+    def __init__(self, G: sp.csr_matrix, h: np.ndarray, lower: np.ndarray, upper: np.ndarray, cones=None):
+        self.m, self.n = G.shape
         self.iu = np.flatnonzero(np.isfinite(upper))
         self.il = np.flatnonzero(np.isfinite(lower))
         self.h = np.concatenate([h, upper[self.iu], -lower[self.il]])
-        self.m = G.shape[0]
-        self.k = self.m + len(self.iu)
-        self.n = G.shape[1]
+        self.k, self.orth = self.m + len(self.iu), len(self.h)
+        self.cones = None
+        if cones is not None:
+            G, self.cones, self.h = sp.vstack([G, cones[0]], format="csr"), _Cones(cones[2]), np.concatenate([self.h, cones[1]])
+        self.G = G
         # Products by G and G' as bincounts over the csr entries: each sum
         # runs in entry order, as scipy's csr product would run it.
-        self.row_of = np.repeat(np.arange(self.m), np.diff(G.indptr))
+        self.row_of = np.repeat(np.arange(G.shape[0]), np.diff(G.indptr))
+        self.degree = self.orth + (self.cones.count if self.cones else 0)
 
     def dot(self, x: np.ndarray) -> np.ndarray:
         G = self.G
-        Gx = np.bincount(self.row_of, weights=G.data * x[G.indices], minlength=self.m)
-        return np.concatenate([Gx, x[self.iu], -x[self.il]])
+        Gx = np.bincount(self.row_of, weights=G.data * x[G.indices], minlength=G.shape[0])
+        return np.concatenate([Gx[: self.m], x[self.iu], -x[self.il], Gx[self.m :]] if self.cones else [Gx, x[self.iu], -x[self.il]])
 
     def tdot(self, z: np.ndarray) -> np.ndarray:
         G = self.G
-        out = np.bincount(G.indices, weights=G.data * z[self.row_of], minlength=self.n).astype(float, copy=False)  # int when G is empty
+        zr = z if self.cones is None else np.concatenate([z[: self.m], z[self.orth :]])  # row_of < m without cones
+        out = np.bincount(G.indices, weights=G.data * zr[self.row_of], minlength=self.n).astype(float, copy=False)  # int when G is empty
         out[self.iu] += z[self.m : self.k]
-        out[self.il] -= z[self.k :]
+        out[self.il] -= z[self.k : self.orth]
         return out
 
     def bound_diag(self, w: np.ndarray) -> np.ndarray:
-        """Diagonal the bounds add to G' diag(w) G."""
+        """Diagonal the bounds add to G' diag(w) G, for orthant weights w."""
         return (np.bincount(self.iu, weights=w[self.m : self.k], minlength=self.n)
-                + np.bincount(self.il, weights=w[self.k :], minlength=self.n))
+                + np.bincount(self.il, weights=w[self.k : self.orth], minlength=self.n))
 
     def stacked(self) -> sp.csr_matrix:
-        k = len(self.h) - self.m
+        """One matrix over s's layout: the rows, the bounds as unit rows, the cones' rows."""
+        k = self.orth - self.m
         data = np.concatenate([np.ones(len(self.iu)), -np.ones(len(self.il))])
         E = sp.csr_matrix((data, (np.arange(k), np.concatenate([self.iu, self.il]))), shape=(k, self.n))
-        return sp.vstack([self.G, E], format="csr")
+        return sp.vstack([self.G[: self.m], E, self.G[self.m :]], format="csr")
 
 
-# Newton steps of programs with at most this many variables are solved on the
-# dense normal matrix, larger ones on the sparse KKT matrix. Measured on 2 vCPUs
-# with one BLAS thread: over 46 lookahead-144 programs of criterion 3's
-# congested day the dense path took 0.10 s against 0.23 s below n = 250 and
-# 4.1 s against 5.4 s at n = 750-1039, but on that day's hindsight program
-# (n = 1896) 2.9-3.0 s against 2.7 s. The dense matrix also grows as n^2
-# (474 MB at the billing week's n = 7697).
+# Programs with at most this many variables use the dense normal matrix, larger
+# ones the sparse KKT matrix. On 2 vCPUs, one BLAS thread, criterion 3's programs
+# took 0.10 s against 0.23 s below n = 250, 4.1 s against 5.4 s at n = 750-1039,
+# 2.9 s against 2.7 s at n = 1896; the dense matrix takes 474 MB at n = 7697.
 _DENSE_MAX_N = 1000
 
 
-def _normal_step(ineq: _Inequalities, As, p: int):
-    """Newton steps on the dense normal matrix N = P + delta + G' W G (Cholesky).
+def _block_pairs(indptr: np.ndarray, indices: np.ndarray, n: int):
+    """(first, second, position) of every pair of entries of one block on or below N's diagonal.
 
-    Each row adds W_r a_ri a_rj to N at (i, j) for every pair of its
-    nonzeros. Those (position, row, product) triples are fixed for the call,
-    so each iteration forms N's lower triangle with one bincount. Equality
-    rows are eliminated through the Schur complement A N^-1 A' + delta of the
-    quasi-definite system [[N, A'], [A, -delta]].
+    Block b holds entries indptr[b] .. indptr[b + 1] - 1; positions index
+    N's column-major buffer, so it is Fortran-ordered for LAPACK.
     """
-    G, n, row_of = ineq.G, ineq.n, ineq.row_of
-    lens = np.diff(G.indptr)
-    reps = lens[row_of]
-    first = np.repeat(np.arange(G.nnz), reps)
-    second = np.repeat(G.indptr[:-1][row_of], reps) + np.arange(len(first)) - np.repeat(np.cumsum(reps) - reps, reps)
-    ci, cj = G.indices[first], G.indices[second]
+    lens = np.diff(indptr)
+    block_of = np.repeat(np.arange(len(lens)), lens)
+    reps = lens[block_of]
+    first = np.repeat(np.arange(len(indices)), reps)
+    second = np.repeat(indptr[:-1][block_of], reps) + np.arange(len(first)) - np.repeat(np.cumsum(reps) - reps, reps)
+    ci, cj = indices[first], indices[second]
     keep = ci >= cj
-    first, second = first[keep], second[keep]
-    pos = ci[keep] + cj[keep] * n  # column-major, so the buffer is Fortran-ordered for LAPACK
-    row = row_of[first]
-    prod = G.data[first] * G.data[second]
+    return first[keep], second[keep], ci[keep] + cj[keep] * n
+
+
+def _normal_step(ineq: _Inequalities, As, p: int):
+    """Newton steps on the dense normal matrix N = P + delta + G'HG (Cholesky), formed by one bincount.
+
+    A row adds H_r a_ri a_rj for every pair (i, j) of its nonzeros. A cone's
+    H = r I + p e+e+' + m e-e-' adds r a_ri a_rj in each of its rows and
+    p g_i g_j + m f_i f_j over its variables, g = G'e+ and f = G'e-: its huge
+    weight multiplies no entries that cancel. Equality rows go through A N^-1 A' + delta.
+    """
+    G, n, m, orth, cones = ineq.G, ineq.n, ineq.m, ineq.orth, ineq.cones
+    first, second, pos = _block_pairs(G.indptr, G.indices, n)
+    weight, prod = ineq.row_of[first], G.data[first] * G.data[second]
+    if cones:
+        cdata, crow = G.data[G.indptr[m] :], ineq.row_of[G.indptr[m] :] - m
+        touched, inv = np.unique(cones.seg[crow] * n + G.indices[G.indptr[m] :], return_inverse=True)  # (cone, variable)
+        t_cone, t_var = np.divmod(touched, n)
+        tfirst, tsecond, tpos = _block_pairs(np.searchsorted(t_cone, np.arange(cones.count + 1)), t_var, n)
+        pos = np.concatenate([pos, tpos])
     Ad = As.toarray() if p else None
     potrf, potrs = sla.get_lapack_funcs(("potrf", "potrs"), (np.zeros(1),))
 
@@ -469,9 +498,17 @@ def _normal_step(ineq: _Inequalities, As, p: int):
     def cho_solve(c, b):
         return potrs(c, b, lower=True)[0]
 
-    def factor(p_reg, d, delta):
+    def factor(p_reg, d, delta, scaling=None):
         w = 1.0 / d
-        buf = np.bincount(pos, weights=prod * w[row], minlength=n * n).astype(float, copy=False)  # int when G is empty
+        if scaling is None:
+            values = prod * w[weight]
+        else:
+            pl, mi, rest = scaling.spectrum(lambda e: 1.0 / (e + _DELTA))
+            g, f = (np.bincount(inv, weights=cdata * e[crow], minlength=len(touched)) for e in (scaling.ep, scaling.em))
+            c = t_cone[tfirst]
+            values = np.concatenate([prod * np.concatenate([w[:m], rest[cones.seg]])[weight],
+                                     pl[c] * g[tfirst] * g[tsecond] + mi[c] * f[tfirst] * f[tsecond]])
+        buf = np.bincount(pos, weights=values, minlength=n * n).astype(float, copy=False)  # int when G is empty
         buf[:: n + 1] += p_reg + ineq.bound_diag(w)
         cN = cholesky(buf.reshape((n, n), order="F"))
         if p:
@@ -479,8 +516,11 @@ def _normal_step(ineq: _Inequalities, As, p: int):
             S[np.diag_indices(p)] += delta
             cS = cholesky(S)
 
+        def hmul(v):
+            return w * v if scaling is None else np.concatenate([w * v[:orth], scaling.hmul(v[orth:])])
+
         def solve_step(rd, re, r3):
-            wr3 = w * r3
+            wr3 = hmul(r3)
             f = ineq.tdot(wr3) - rd
             dy = np.zeros(0)
             if p:
@@ -488,7 +528,7 @@ def _normal_step(ineq: _Inequalities, As, p: int):
                 f = f - Ad.T @ dy
             dx = cho_solve(cN, f)
             Gdx = ineq.dot(dx)
-            return dx, dy, w * Gdx - wr3, Gdx
+            return dx, dy, hmul(Gdx) - wr3, Gdx
 
         return solve_step
 
@@ -496,27 +536,27 @@ def _normal_step(ineq: _Inequalities, As, p: int):
 
 
 def _kkt_step(ineq: _Inequalities, As, p: int):
-    """Newton steps on the sparse regularized (n+p+m) KKT matrix (LU).
+    """Newton steps on the sparse regularized (n+p+m) KKT matrix (LU), assembled once per call.
 
-    Only the diagonal blocks change between iterations, so the matrix is
-    assembled once per call and its diagonal rewritten in place.
-    """
-    n = ineq.n
-    G = ineq.stacked()
-    m = G.shape[0]
-    blocks = [
-        [sp.identity(n), As.T if p else None, G.T],
-        [As, sp.identity(p) if p else None, None],
-        [G, None, sp.identity(m)],
-    ]
-    if not p:
-        blocks = [[blocks[0][0], blocks[0][2]], [blocks[2][0], blocks[2][2]]]
-    K = sp.bmat(blocks, format="csc")
+    Each iteration rewrites in place P's diagonal, -delta, -(s/z + delta) on
+    the rows and bounds and each cone's dense -(W^2 + delta)."""
+    n, orth, cones = ineq.n, ineq.orth, ineq.cones
+    G, D = ineq.stacked(), sp.identity(orth)
+    if cones:
+        D = sp.block_diag([D] + [np.ones((q, q)) for q in cones.dims])
+    A = As if p else sp.csr_matrix((0, n))
+    K = sp.bmat([[sp.identity(n), A.T, G.T], [A, sp.identity(p), None], [G, None, D]], format="csc")
     K_coo = K.tocoo()  # same entry order as K.data, which runs column by column
-    diag_pos = np.flatnonzero(K_coo.row == K_coo.col)
+    top = np.flatnonzero((K_coo.row == K_coo.col) & (K_coo.row < n + p))
+    bottom = np.flatnonzero((K_coo.row >= n + p) & (K_coo.col >= n + p))
+    r, c = K_coo.row[bottom] - n - p, K_coo.col[bottom] - n - p
+    in_cone = r >= orth
 
-    def factor(p_reg, d, delta):
-        K.data[diag_pos] = np.concatenate([p_reg, np.full(p, -delta), -d])
+    def factor(p_reg, d, delta, scaling=None):
+        K.data[top] = np.concatenate([p_reg, np.full(p, -delta)])
+        K.data[bottom[~in_cone]] = -d[r[~in_cone]]
+        if scaling is not None:
+            K.data[bottom[in_cone]] = -scaling.entries(lambda e: e + _DELTA, r[in_cone] - orth, c[in_cone] - orth)
         lu = spla.splu(K)
 
         def solve_step(rd, re, r3):
@@ -528,11 +568,16 @@ def _kkt_step(ineq: _Inequalities, As, p: int):
     return factor
 
 
-def _step_length(s: np.ndarray, ds: np.ndarray, z: np.ndarray, dz: np.ndarray, tau: float) -> float:
-    """The longest step that keeps s and z nonnegative, times tau, capped at 1."""
-    v, dv = np.concatenate((s, z)), np.concatenate((ds, dz))
+def _step(ineq: _Inequalities, s, ds, z, dz, tau: float, scaling=None, dst=None, dzt=None) -> float:
+    """The longest step keeping s and z in their orthant and cones (the cones' part on lambda and the
+    scaled dst and dzt), times tau, at most 1."""
+    k = ineq.orth
+    v, dv = np.concatenate((s[:k], z[:k])), np.concatenate((ds[:k], dz[:k]))
     neg = dv < 0
-    return min(1.0, tau * float((-v[neg] / dv[neg]).min())) if neg.any() else 1.0
+    longest = float((-v[neg] / dv[neg]).min()) if neg.any() else math.inf
+    if scaling is not None:
+        longest = min(longest, ineq.cones.max_step(scaling.lam, dst), ineq.cones.max_step(scaling.lam, dzt))
+    return min(1.0, tau * longest)
 
 
 def _import_scipy() -> None:
@@ -543,44 +588,47 @@ def _import_scipy() -> None:
         import scipy.sparse.linalg as spla
 
 
-def _ipm_qp(P_diag, q, G, h, lower, upper, A, b, x0, feas_tol=1e-8, max_iter=_INNER_MAX_ITER):
-    """Minimize 1/2 x'diag(P)x + q'x  s.t.  Gx <= h, lower <= x <= upper, Ax = b.
+def _ipm_qp(P_diag, q, G, h, lower, upper, A, b, x0, cones=None, feas_tol=1e-8, max_iter=_INNER_MAX_ITER):
+    """Minimize 1/2 x'diag(P)x + q'x  s.t.  Gx <= h, lower <= x <= upper, Ax = b, h_c - G_c x in the cones.
 
-    Returns (x, status, iterations, residuals): residuals are the primal
-    residual, dual residual and mu at x, relative to the scales the stopping
-    test uses. G and the finite bounds together must have at least one row.
+    ``cones`` is None or (G_c, h_c, dims), G_c's rows running cone by cone.
+    Returns (x, status, iterations, (primal residual, dual residual, mu) at x
+    as the stopping test scales them). There must be at least one row.
     """
     n = len(q)
     p = A.shape[0] if A is not None else 0
 
-    # Scale inequality and equality rows to unit inf-norm; keeps the central
-    # path well conditioned when limits span orders of magnitude. Bound rows
-    # have unit norm already.
+    # Scale inequality and equality rows to unit inf-norm, for a well conditioned
+    # central path when limits span orders of magnitude; cones keep their rows.
     Gs, g_scale = _row_scaled(G.tocsr())
-    ineq = _Inequalities(Gs, h / g_scale, lower, upper)
-    hs = ineq.h
-    m = len(hs)
-    if p:
-        As, a_scale = _row_scaled(A.tocsr())
-        bs = b / a_scale
-    else:
-        As, bs = None, np.zeros(0)
+    ineq = _Inequalities(Gs, h / g_scale, lower, upper, cones)
+    hs, k, cs, m = ineq.h, ineq.orth, ineq.cones, ineq.degree
+    As, a_scale = _row_scaled(A.tocsr()) if p else (None, 1.0)
+    bs = b / a_scale if p else np.zeros(0)
     factor = _normal_step(ineq, As, p) if n <= _DENSE_MAX_N else _kkt_step(ineq, As, p)
 
     x = np.asarray(x0, dtype=float).copy()
-    s = np.maximum(hs - ineq.dot(x), 1.0)
-    z = np.ones(m)
+    s = hs - ineq.dot(x)
+    z = np.ones(len(hs))
+    scaling = None
+    if cs:  # each cone's s_0 at least 1 above its tail's norm, z_c = e
+        s[k:][cs.starts] = np.maximum(s[k:][cs.starts], cs.tail_norm(s[k:]) + 1.0)
+        z[k:] = ~cs.tail
+        scaling = _Scaling(cs, s[k:], z[k:])
+    s[:k] = np.maximum(s[:k], 1.0)
     y = np.zeros(p)
-    delta = 1e-9
+    delta = _DELTA
     q_scale = 1.0 + float(np.max(np.abs(q))) if n else 1.0
     h_scale = 1.0 + float(np.max(np.abs(hs))) if m else 1.0
 
     best = (np.inf, x.copy(), (math.nan,) * 3)
     for it in range(1, max_iter + 1):
+        if cs:
+            s[k:], z[k:] = scaling.scale(scaling.lam), scaling.unscale(scaling.lam)
         rd = P_diag * x + q + ineq.tdot(z) + (As.T @ y if p else 0.0)
         rp = ineq.dot(x) + s - hs
         re = (As @ x - bs) if p else np.zeros(0)
-        mu = float(s @ z) / m
+        mu = float(s @ z if cs is None else s[:k] @ z[:k] + scaling.lam @ scaling.lam) / m
 
         pres = float(np.abs(rp).max()) if m else 0.0
         eres = float(np.abs(re).max()) if p else 0.0
@@ -598,26 +646,35 @@ def _ipm_qp(P_diag, q, G, h, lower, upper, A, b, x0, feas_tol=1e-8, max_iter=_IN
         if mu > 1e12 or dual_mass > 1e14:
             return best[1], MAX_ITER, it, best[2]
 
-        # The step solves [[P + delta, A', G'], [A, -delta, 0], [G, 0, -(S/Z + delta)]];
-        # a failed factorization retries with a larger delta everywhere.
+        # The step solves [[P + delta, A', G'], [A, -delta, 0], [G, 0, -(W^2 + delta)]],
+        # W^2 = S/Z on the orthant; a failed factorization retries with 100x
+        # delta. With cones the delta under W^2 stays _DELTA: on lookahead-96
+        # programs a raised floor there stalled mu just above the tolerance.
         try:
-            solve_step = factor(P_diag + delta, s / z + delta, delta)
+            solve_step = factor(P_diag + delta, s[:k] / z[:k] + (_DELTA if cs else delta), delta, scaling)
         except (RuntimeError, sla.LinAlgError):
             delta *= 100.0
             if delta > 1e-2:
                 return best[1], MAX_ITER, it, best[2]
             continue
 
-        dx, dy, dz, Gdx = solve_step(rd, re, -rp + s)
-        ds = -rp - Gdx
-        alpha_aff = _step_length(s, ds, z, dz, 1.0)
-        mu_aff = float((s + alpha_aff * ds) @ (z + alpha_aff * dz)) / m
+        def direction(r3):
+            dx, dy, dz, Gdx = solve_step(rd, re, r3)
+            ds = -rp - Gdx
+            return dx, dy, ds, dz, ((scaling.unscale(ds[k:]), scaling.scale(dz[k:])) if cs else (None, None))
+
+        dx, dy, ds, dz, scaled = direction(-rp + s)
+        a = _step(ineq, s, ds, z, dz, 1.0, scaling, *scaled)
+        mu_aff = float((s + a * ds) @ (z + a * dz) if cs is None else (s[:k] + a * ds[:k]) @ (z[:k] + a * dz[:k])
+                       + (scaling.lam + a * scaled[0]) @ (scaling.lam + a * scaled[1])) / m
         sigma = min(max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-8), 0.9999)
 
-        r3 = -rp + s + (ds * dz - sigma * mu) / z
-        dx, dy, dz, Gdx = solve_step(rd, re, r3)
-        ds = -rp - Gdx
-        alpha = _step_length(s, ds, z, dz, 0.99)
+        if cs:
+            r3 = -rp + s + np.concatenate([(ds[:k] * dz[:k] - sigma * mu) / z[:k], scaling.centering(*scaled, sigma * mu)])
+        else:
+            r3 = -rp + s + (ds * dz - sigma * mu) / z
+        dx, dy, ds, dz, scaled = direction(r3)
+        alpha = _step(ineq, s, ds, z, dz, 0.99, scaling, *scaled)
         if alpha < 1e-12:
             return best[1], MAX_ITER, it, best[2]
         x += alpha * dx
@@ -625,106 +682,103 @@ def _ipm_qp(P_diag, q, G, h, lower, upper, A, b, x0, feas_tol=1e-8, max_iter=_IN
         z += alpha * dz
         if p:
             y += alpha * dy
+        if cs:
+            scaling = scaling.then(*scaled, alpha)
 
     return best[1], MAX_ITER, max_iter, best[2]
 
 
-def _certify_infeasible(G, h, lower, upper, A, b, x0) -> bool:
-    """Phase-1 check: minimize the worst violation t of every row and bound, Ax = b.
+def _certify_infeasible(G, h, lower, upper, A, b, x0, cones=None) -> bool:
+    """Phase-1 check: minimize the worst violation t of every row, bound and cone, Ax = b.
 
-    Rows become Gx - t <= h and bounds x - t <= upper, -x - t <= -lower, so
-    the program is always feasible; t >= -1 keeps it bounded and the
-    interior-point method converges. A strictly positive optimal t proves
-    the original system empty.
+    Rows become Gx - t <= h, bounds x - t <= upper and -x - t <= -lower, and
+    each cone's first entry gains t: always feasible, and bounded by t >= -1.
+    A strictly positive optimal t proves the original system empty.
     """
     n = G.shape[1]
-    rows = _Inequalities(G, h, lower, upper)
-    Gb, hb = rows.stacked(), rows.h
-    G1 = sp.hstack([Gb, -sp.csr_matrix(np.ones((Gb.shape[0], 1)))], format="csr")
+    rows = _Inequalities(G, h, lower, upper, cones)
+    Gb, hb, k = rows.stacked(), rows.h, rows.orth
+    t_col = -(np.arange(len(hb)) < k).astype(float)
+    t0 = float(np.max((Gb @ x0)[:k] - hb[:k], initial=0.0)) + 1.0
+    if cones is not None:
+        t_col[k + rows.cones.starts] = -1.0
+        sc = hb[k:] - (Gb @ x0)[k:]
+        t0 = max(t0, float(np.max(rows.cones.tail_norm(sc) - sc[rows.cones.starts])) + 1.0)
+    G1 = sp.hstack([Gb, sp.csr_matrix(t_col[:, None])], format="csr")
     A1 = sp.hstack([A, sp.csr_matrix((A.shape[0], 1))], format="csr") if A is not None else None
-    lower1 = np.concatenate([np.full(n, -np.inf), [-1.0]])
-    P1 = np.full(n + 1, 1e-9)
     q1 = np.zeros(n + 1)
     q1[n] = 1.0
-    t0 = float(np.max(Gb @ x0 - hb, initial=0.0)) + 1.0
-    x1, status, _, _ = _ipm_qp(P1, q1, G1, hb, lower1, np.full(n + 1, np.inf), A1, b, np.concatenate([x0, [t0]]))
-    if status != OPTIMAL:
-        return False
-    return x1[n] > _phase1_threshold(hb)
+    x1, status, _, _ = _ipm_qp(np.full(n + 1, 1e-9), q1, G1[:k], hb[:k], np.concatenate([np.full(n, -np.inf), [-1.0]]),
+                               np.full(n + 1, np.inf), A1, b, np.concatenate([x0, [t0]]),
+                               (G1[k:], hb[k:], cones[2]) if cones is not None else None)
+    return status == OPTIMAL and x1[n] > _phase1_threshold(hb)
 
 
 def _phase1_threshold(hb: np.ndarray) -> float:
-    """Optimal phase-1 t above this proves empty a system with right-hand sides and bounds hb."""
+    """Optimal phase-1 t above this proves empty a system with right-hand sides, bounds and cone offsets hb."""
     return 1e-7 * (1.0 + float(np.max(np.abs(hb), initial=0.0)))
 
 
-def _one_row_infeasible(rows: RowStore, lower: np.ndarray, upper: np.ndarray) -> bool:
-    """Whether one row's minimum over the box alone proves the program infeasible.
+def _box_floors(row_of, idx, coef, rhs, lower, upper) -> np.ndarray:
+    """(min over the box of g'x - h) / (1 + ||g||_1) of each row g'x <= h (-inf if unbounded below).
 
-    The one-row bound test of LP presolve (Andersen and Andersen, 1995). At
-    phase-1's optimum each bound may give way by t, so every row g with
-    right-hand side h has t (1 + ||g||_1) >= min over the box of g'x - h: that
-    excess over 1 + ||g||_1 is a floor under the optimal t, and a floor above
-    ``_certify_infeasible``'s threshold is its verdict without a Newton step.
-    A row whose minimum needs an infinite bound proves nothing; rows that are
-    only jointly infeasible are left to phase-1.
-    """
-    idx, coef, lens, rhs = rows.arrays()
+    LP presolve's one-row test (Andersen and Andersen, 1995): phase-1's t has
+    t (1 + ||g||_1) >= min g'x - h, so a floor above its threshold is its verdict."""
     bound = np.where(coef > 0, lower[idx], np.where(coef < 0, upper[idx], 0.0))
-    row_of = np.repeat(np.arange(len(rhs)), lens)
     low = np.bincount(row_of, weights=coef * bound, minlength=len(rhs))
     l1 = np.bincount(row_of, weights=np.abs(coef), minlength=len(rhs))
-    hb = np.concatenate([rhs, upper[np.isfinite(upper)], -lower[np.isfinite(lower)]])
-    return bool(((low - rhs) / (1.0 + l1) > _phase1_threshold(hb)).any())
+    return (low - rhs) / (1.0 + l1)
+
+
+def _tangent_floors(disks: list[DiskConstraint], lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """``_box_floors`` of the _TANGENTS half-planes cos(theta_k) re + sin(theta_k) im <= limit
+    circumscribing each disk, all disks at once; a variable in both parts gets one coefficient."""
+    if not disks:
+        return np.zeros(0)
+    parts = [e for d in disks for e in (d.real, d.imag)]
+    part = np.repeat(np.arange(len(parts)), [len(e.idx) for e in parts])  # 2 disk + (0 real, 1 imag)
+    key, inv = np.unique((part // 2) * len(lower) + np.concatenate([e.idx for e in parts]), return_inverse=True)
+    values = np.concatenate([e.coef for e in parts])
+    re, im = (np.bincount(inv, weights=np.where(part % 2 == half, values, 0.0), minlength=len(key)) for half in (0, 1))
+    disk, var = np.divmod(key, len(lower))
+    theta = 2.0 * np.pi * (np.arange(_TANGENTS)[:, None] + 0.5) / _TANGENTS
+    c, s = np.cos(theta), np.sin(theta)
+    limit, o_re, o_im = np.array([(d.limit, d.real.const, d.imag.const) for d in disks]).T
+    rows = np.arange(_TANGENTS)[:, None] * len(disks) + disk
+    return _box_floors(rows.ravel(), np.broadcast_to(var, rows.shape).ravel(), (c * re + s * im).ravel(),
+                       (limit - c * o_re - s * o_im).ravel(), lower, upper)
 
 
 def _assemble(program: ConvexProgram):
-    """Objective, bounds, inequality rows and equality rows over x and the auxiliaries.
+    """Objective, bounds, inequality rows, equality rows and cones over x and the free auxiliaries.
 
-    Auxiliaries (one per epigraph term, then one per norm term) are free. The
-    inequality rows are a copy of the program's, so cuts appended to them
-    leave the program as it is.
+    Cone entry e'x + c becomes the row (-e, c) of a RowStore, so that the cone
+    holds h_c - G_c x; disks are (limit, re, im), norms (z, e_1, ..).
     """
-    n = program.n
-    n_aux = len(program.epigraph_terms) + len(program.norm_terms)
-    ntot = n + n_aux
-
+    n, n_epi = program.n, len(program.epigraph_terms)
+    n_aux = n_epi + len(program.norm_terms)
     P = np.concatenate([2.0 * program.quad_cost, np.zeros(n_aux)])
-    q = np.concatenate(
-        [-program.linear_cost,
-         [t.weight for t in program.epigraph_terms],
-         [t.weight for t in program.norm_terms]]
-    )
+    q = np.concatenate([-program.linear_cost, [t.weight for t in program.epigraph_terms + program.norm_terms]])
     lower = np.concatenate([program.lower, np.full(n_aux, -np.inf)])
     upper = np.concatenate([program.upper, np.full(n_aux, np.inf)])
 
-    rows = program.linear_ineqs.copy()
-    # Epigraph rows e - z <= 0; norm rows +-e - z <= 0.
-    aux_rows = [(e, 1.0, n + j) for j, term in enumerate(program.epigraph_terms) for e in term.exprs]
-    aux_rows += [
-        (e, sign, n + len(program.epigraph_terms) + j)
-        for j, term in enumerate(program.norm_terms)
-        for e in term.exprs
-        for sign in (1.0, -1.0)
-    ]
+    rows = program.linear_ineqs.copy()  # and the epigraph rows e - z <= 0
+    aux_rows = [(e, n + j) for j, term in enumerate(program.epigraph_terms) for e in term.exprs]
     if aux_rows:
-        rows.extend(
-            np.concatenate([np.append(e.idx, zi) for e, _, zi in aux_rows]),
-            np.concatenate([np.append(sign * e.coef, -1.0) for e, sign, _ in aux_rows]),
-            [len(e.idx) + 1 for e, _, _ in aux_rows],
-            [-sign * e.const for e, sign, _ in aux_rows],
-        )
-    seed_c, seed_s = np.cos(_SEED_ANGLES), np.sin(_SEED_ANGLES)
-    seeds = [_tangent_rows(disk, seed_c, seed_s) for disk in program.disks]
-    if seeds:  # SEED_TANGENTS rows per disk, each over the disk's indices
-        rows.extend(
-            np.concatenate([np.tile(idx, SEED_TANGENTS) for idx, _, _ in seeds]),
-            np.concatenate([coef.ravel() for _, coef, _ in seeds]),
-            np.repeat([len(idx) for idx, _, _ in seeds], SEED_TANGENTS),
-            np.concatenate([rhs for _, _, rhs in seeds]),
-        )
-    A, b = program.linear_eqs.csr(ntot)
-    return P, q, lower, upper, rows, (A if A.shape[0] else None), b
+        rows.extend(np.concatenate([np.append(e.idx, zi) for e, zi in aux_rows]),
+                    np.concatenate([np.append(e.coef, -1.0) for e, _ in aux_rows]),
+                    [len(e.idx) + 1 for e, _ in aux_rows], [-e.const for e, _ in aux_rows])
+    cone_parts = [(LinExpr([], [], d.limit), d.real, d.imag) for d in program.disks]
+    cone_parts += [(LinExpr([n + n_epi + j], [1.0]), *t.exprs) for j, t in enumerate(program.norm_terms)]
+    entries = [e for part in cone_parts for e in part]
+    cones = None
+    if entries:
+        cone_rows = RowStore()
+        cone_rows.extend(np.concatenate([e.idx for e in entries]), np.concatenate([-e.coef for e in entries]),
+                         [len(e.idx) for e in entries], [e.const for e in entries])
+        cones = (*cone_rows.csr(n + n_aux), np.array([len(c) for c in cone_parts]))
+    A, b = program.linear_eqs.csr(n + n_aux)
+    return P, q, lower, upper, rows, (A if A.shape[0] else None), b, cones
 
 
 def _initial_point(program: ConvexProgram, ntot: int) -> np.ndarray:
@@ -732,92 +786,35 @@ def _initial_point(program: ConvexProgram, ntot: int) -> np.ndarray:
     lo = np.where(np.isfinite(program.lower), program.lower, 0.0)
     hi = np.where(np.isfinite(program.upper), program.upper, lo + 2.0)
     x0[: program.n] = 0.5 * (lo + hi)
-    k = program.n
-    for term in program.epigraph_terms:
-        x0[k] = max(e.value(x0) for e in term.exprs) + 1.0
-        k += 1
-    for term in program.norm_terms:
-        x0[k] = max(abs(e.value(x0)) for e in term.exprs) + 1.0
-        k += 1
+    for k, term in enumerate(program.epigraph_terms + program.norm_terms, program.n):
+        x0[k] = term.value(x0) + 1.0
     return x0
 
 
-def solve(program: ConvexProgram, tol: float = 1e-4, max_iter: int = 50) -> Solution:
+def solve(program: ConvexProgram, tol: float = 1e-4) -> Solution:
     """Maximize the program's objective; see module docstring for the method.
 
-    ``tol`` bounds the worst disk/norm violation of the returned point, in
-    constraint units. ``max_iter`` caps outer (cutting-plane) iterations.
-    Status is ``optimal``, ``infeasible``, or ``max_iter`` (iteration budget
-    exhausted before the violation dropped below tol; the best point found is
-    still returned).
+    The interior point stops when its scaled residuals and mu are at most
+    min(1e-8, tol / 100). Status is ``optimal``, ``infeasible``, or
+    ``max_iter``: it stopped short, phase-1 proved nothing, and its best point is returned.
     """
     program.validate()
     _import_scipy()
-    inner_tol = min(1e-8, tol * 1e-2)
-    P, q, lower, upper, rows, A, b = _assemble(program)
-    if len(rows) == 0 and not (np.isfinite(lower).any() or np.isfinite(upper).any()):
+    P, q, lower, upper, rows, A, b, cones = _assemble(program)
+    if len(rows) == 0 and cones is None and not (np.isfinite(lower).any() or np.isfinite(upper).any()):
         raise ProgramError("program has no inequality rows; add finite bounds")
     x0 = _initial_point(program, len(q))
-    if _one_row_infeasible(rows, lower, upper):
-        return Solution(x0[: program.n], INFEASIBLE, math.nan, math.nan, 0, 0, [])
-    n_epi = len(program.epigraph_terms)
-    history: list[float] = []
-    inner: list[int] = []
-    cuts = 0
-    x_prog = None
-    status = MAX_ITER
-    outer = 0
+    idx, coef, lens, rhs = rows.arrays()
+    floors = np.concatenate([_box_floors(np.repeat(np.arange(len(rhs)), lens), idx, coef, rhs, lower, upper),
+                             _tangent_floors(program.disks, lower, upper)])
+    hb = np.concatenate([rhs, upper[np.isfinite(upper)], -lower[np.isfinite(lower)], cones[1] if cones else []])
+    if (floors > _phase1_threshold(hb)).any():
+        return Solution(x0[: program.n], INFEASIBLE, math.nan, math.nan, 0)
 
-    for outer in range(1, max_iter + 1):
-        G, h = rows.csr(len(q))
-        x_full, inner_status, iterations, residuals = _ipm_qp(P, q, G, h, lower, upper, A, b, x0, feas_tol=inner_tol)
-        inner.append(iterations)
-        x_prog = x_full[: program.n]
-
-        if inner_status != OPTIMAL and _certify_infeasible(G, h, lower, upper, A, b, x0):
-            return Solution(x_prog, INFEASIBLE, math.nan, math.nan, outer, cuts, history, inner, *residuals)
-
-        worst = program.max_violation(x_prog)
-        # Norm terms are relaxed the same way; treat z below the true norm as
-        # a violation so cuts keep tightening the epigraph.
-        for j, term in enumerate(program.norm_terms):
-            zval = x_full[program.n + n_epi + j]
-            worst = max(worst, term.value(x_prog) - zval)
-        history.append(worst)
-        if worst <= tol:
-            status = OPTIMAL if inner_status == OPTIMAL else MAX_ITER
-            break
-
-        added = 0
-        for disk in program.disks:
-            if disk.violation(x_prog) > tol:
-                re, im = disk.phasor(x_prog)
-                mag = math.hypot(re, im)
-                idx, coef, rhs = _tangent_rows(disk, np.array([re / mag]), np.array([im / mag]))
-                rows.append(idx, coef[0], rhs[0])
-                added += 1
-        for j, term in enumerate(program.norm_terms):
-            zval = x_full[program.n + n_epi + j]
-            vals = term.values(x_prog)
-            nrm = float(np.linalg.norm(vals))
-            if nrm - zval > tol and nrm > 0:
-                u = vals / nrm
-                zi = program.n + n_epi + j
-                parts = [(float(u[mi]), e) for mi, e in enumerate(term.exprs) if u[mi] != 0.0]
-                idx = np.concatenate([e.idx for _, e in parts] + [[zi]])
-                coef = np.concatenate([w * e.coef for w, e in parts] + [[-1.0]])
-                rhs = -sum(w * e.const for w, e in parts)
-                uniq, inv = np.unique(idx, return_inverse=True)
-                summed = np.zeros(len(uniq))
-                np.add.at(summed, inv, coef)
-                rows.append(uniq, summed, rhs)
-                added += 1
-        cuts += added
-        if added == 0:
-            # Violation above tol but nothing to cut: numerical stall.
-            status = MAX_ITER
-            break
-
-    objective = program.objective_value(x_prog)
-    max_viol = history[-1] if history else 0.0
-    return Solution(x_prog, status, objective, max_viol, outer, cuts, history, inner, *residuals)
+    G, h = rows.csr(len(q))
+    x_full, status, iterations, residuals = _ipm_qp(P, q, G, h, lower, upper, A, b, x0, cones,
+                                                    feas_tol=min(1e-8, tol * 1e-2))
+    x = x_full[: program.n]
+    if status != OPTIMAL and _certify_infeasible(G, h, lower, upper, A, b, x0, cones):
+        return Solution(x, INFEASIBLE, math.nan, math.nan, iterations, *residuals)
+    return Solution(x, status, program.objective_value(x), program.max_violation(x), iterations, *residuals)

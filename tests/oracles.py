@@ -6,7 +6,7 @@ no relaxation, no cuts), the phasor sum is plain cmath, the battery tail is
 the direct recursion, and the greedy pilot references find each rate by
 probing ``ChargingNetwork.is_feasible`` one trial vector at a time (no rate
 windows), and the row-by-row builder emits one network row per period and
-constraint through the constraints' own ``limit_at``/``background_at``.
+constraint through ``limit_at``/``background_at`` below.
 One reference does share a package path: ``turn_by_turn_rr`` is round-robin
 as one ``rate_window`` call per turn, the loop whole sweeps replaced.
 Tests compare package output against these.
@@ -41,6 +41,25 @@ def phasor_sum(coefs, angles_deg, rates, background=0j) -> complex:
     for a, phi, r in zip(coefs, angles_deg, rates):
         total += a * r * cmath.exp(1j * math.radians(phi))
     return total
+
+
+def limit_at(constraint: NetworkConstraint, t: int) -> float:
+    """A constraint's limit in period t: its scalar, or its array held at its last value."""
+    if np.ndim(constraint.limit) == 0:
+        return float(constraint.limit)
+    return float(constraint.limit[min(t, len(constraint.limit) - 1)])
+
+
+def background_at(constraint: NetworkConstraint, t: int) -> complex:
+    """A constraint's background phasor in period t, read like ``limit_at``."""
+    if np.ndim(constraint.background) == 0:
+        return complex(constraint.background)
+    return complex(constraint.background[min(t, len(constraint.background) - 1)])
+
+
+def aggregate_phasor(network: ChargingNetwork, constraint_id: str, rates, t: int = 0) -> complex:
+    """One constraint's entry of ``network.aggregates``: its complex current, background included."""
+    return complex(network.aggregates(rates, t)[network.constraint_index[constraint_id]])
 
 
 def grid_search_max(program: ConvexProgram, step: float = 0.01, feas_tol: float = 1e-9):
@@ -385,7 +404,7 @@ def build_program_by_rows(windows, utility, network, horizon, *, start_period=0,
     Each occupied period's network rows are read off the weights of the
     windows present, one ``add_ineq`` or ``add_disk`` call per constraint
     that weighs any of them, with its limit and background read through the
-    constraint's ``limit_at`` and ``background_at``.
+    ``limit_at`` and ``background_at`` of the constraint.
     """
     offsets, n = [], 0
     for w in windows:
@@ -413,8 +432,8 @@ def build_program_by_rows(windows, utility, network, horizon, *, start_period=0,
             nz = w != 0
             if not nz.any():
                 continue
-            limit = constraint.limit_at(abs_t)
-            bg = constraint.background_at(abs_t)
+            limit = limit_at(constraint, abs_t)
+            bg = background_at(constraint, abs_t)
             if constraint_mode == "affine":
                 prog.add_ineq(idx[nz], np.abs(w[nz]), limit - abs(bg))
             else:

@@ -343,6 +343,20 @@ def test_minimum_rate_fallback_serves_most_urgent_first():
     assert out["s0"] == 0.0 and out["s1"] == 0.0
 
 
+def test_a_bound_under_the_minimum_pilot_gets_zero_when_quantized():
+    evses = [aerovironment(f"E{i}", 0.0) for i in range(2)]
+    net = _line(evses, 40.0)
+    states = [_state(f"s{i}", evses[i], departure=10, energy=30.0) for i in range(2)]
+    states[0].pilot_upper_bound = 0.5 * evses[0].min_rate  # rampdown bound under the minimum pilot
+    continuous = minimum_rate_fallback(states, net)
+    quantized = minimum_rate_fallback(states, net, quantized=True)
+    assert continuous == {"s0": 0.5 * evses[0].min_rate, "s1": evses[1].min_rate}
+    assert quantized == {"s0": 0.0, "s1": evses[1].min_rate}
+    windows = {w.session_id: w for w in lookahead_windows(states, 4, quantized=True)}
+    assert windows["s0"].lower == 0.0 and windows["s0"].upper[0] == 0.5 * evses[0].min_rate
+    assert windows["s1"].lower == evses[1].min_rate
+
+
 def test_schedule_rate_lookup():
     sched = Schedule({"a": np.array([10.0, 5.0])}, computed_at=7, horizon=2)
     assert sched.rate_at("a", 7) == 10.0

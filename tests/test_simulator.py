@@ -36,6 +36,7 @@ from evsched.simulator import (
     run,
 )
 from evsched.workload import Session
+from oracles import limit_at
 
 QC_ES = UtilityConfig(((QuickCharge(), 1.0), (EqualShare(), 0.01)))
 
@@ -261,6 +262,6 @@ def test_result_keeps_traces_over_stays_and_shares_limits():
         assert dense[stays].tolist() == trace.tolist()
     assert res.pilot_trace.any()
     assert res.limits.shape == (2, res.periods)
-    assert res.limits.tolist() == [[stepped.limit_at(k) for k in range(res.periods)], [20.0] * res.periods]
+    assert res.limits.tolist() == [[limit_at(stepped, k) for k in range(res.periods)], [20.0] * res.periods]
     with pytest.raises(ValueError):
         res.limits[0, 0] = 0.0
