@@ -232,7 +232,6 @@ class BaselineScheduler:
         *,
         quantized: bool = False,
         constraint_mode: str = "affine",
-        tol: float = 1e-6,
     ):
         if name not in self._FNS and name != "uncontrolled":
             raise ValueError(f"unknown baseline {name!r}")
@@ -240,7 +239,6 @@ class BaselineScheduler:
         self.network = network
         self.quantized = quantized
         self.constraint_mode = constraint_mode
-        self.tol = tol
 
     def pilots(self, states, k: int, event: bool) -> dict[str, float]:
         from evsched.scheduler import active_set
@@ -251,4 +249,4 @@ class BaselineScheduler:
         if self.name == "uncontrolled":
             return uncontrolled_pilots(active)
         fn = self._FNS[self.name]
-        return fn(active, self.network, self.quantized, k, self.constraint_mode, self.tol)
+        return fn(active, self.network, self.quantized, k, self.constraint_mode)

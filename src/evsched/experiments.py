@@ -85,14 +85,20 @@ _DEFAULTS: dict[str, Any] = {
     "start_day": "mon",
     "billing_days": None,
     "rampdown": None,
-    "solver_tol": 1e-4,
     "network": {"preset": "caltech", "transformer_kw": 150.0},
     "workload": {"generate": {"days": list(DAY_NAMES[:5]), "stats": "caltech", "session_scale": 1.0}},
 }
 
 
+# Keys without a default, read only by ``capacity_sweep`` and ``profit_experiment``.
+_OPTIONAL_KEYS = frozenset({"sweep", "profit_runs"})
+
+
 def resolve_config(raw: dict[str, Any], base_dir: str | Path | None = None) -> dict[str, Any]:
-    """Fill defaults and resolve file paths relative to the config's home."""
+    """Fill defaults and resolve file paths relative to the config's home; an unknown key is an error."""
+    unknown = sorted(set(raw) - set(_DEFAULTS) - _OPTIONAL_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}")
     cfg = {**_DEFAULTS, **raw}
     base = Path(base_dir) if base_dir is not None else Path.cwd()
     for section, key in (("network", "file"), ("workload", "file")):
@@ -270,7 +276,6 @@ def make_algorithm(
         quantized=quantized,
         constraint_mode=cfg["constraint_mode"],
         period_minutes=cfg["period_minutes"],
-        tol=float(cfg["solver_tol"]),
     )
     if meter is not None:
         algo.meter = meter
@@ -302,10 +307,7 @@ def simulate_once(cfg: dict[str, Any], *, hint_peak_kw: float | None = None) -> 
             )
         else:
             utility = quick_charge_utility()
-        result, _ = offline_optimal(
-            network, sessions, utility, sim_cfg,
-            constraint_mode=cfg["constraint_mode"], tol=float(cfg["solver_tol"]),
-        )
+        result, _ = offline_optimal(network, sessions, utility, sim_cfg, constraint_mode=cfg["constraint_mode"])
         return result
     algorithm = make_algorithm(cfg, network, sessions, hint_peak_kw=hint_peak_kw)
     return run(network, sessions, algorithm, SCENARIOS[cfg["scenario"]], sim_cfg)
@@ -356,10 +358,7 @@ def profit_experiment(cfg: dict[str, Any]) -> list[dict[str, Any]]:
     utility = offline_profit_utility(
         tariff, cfg["revenue_per_kwh"], billing_days, cfg["start_day"], cfg["period_minutes"]
     )
-    offline_result, _ = offline_optimal(
-        network, sessions, utility, sim_cfg,
-        constraint_mode=cfg["constraint_mode"], tol=float(cfg["solver_tol"]),
-    )
+    offline_result, _ = offline_optimal(network, sessions, utility, sim_cfg, constraint_mode=cfg["constraint_mode"])
     offline_profit = offline_result.billing.profit
 
     def row(result: SimResult, label: str) -> dict[str, Any]:

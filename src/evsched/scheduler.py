@@ -32,14 +32,11 @@ import numpy as np
 
 from evsched.network import ChargingNetwork, Evse
 from evsched.solver import (
-    INFEASIBLE,
-    MAX_ITER,
     OPTIMAL,
     ConvexProgram,
     EpigraphTerm,
     LinExpr,
     NormTerm,
-    Solution,
     solve,
 )
 from evsched.workload import Session
@@ -71,8 +68,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Pilot vectors are accepted when network residuals stay under this (amps).
-ACCEPT_VIOLATION = 1e-3
 ENERGY_EPS = 1e-9
 
 
@@ -665,8 +660,10 @@ class AdaptiveScheduler:
     Recomputes its schedule on arrivals/departures and whenever the stored
     schedule becomes ``recompute_period`` periods old, then emits the current
     period's slice as pilots (quantizing it first when hardware demands).
-    EV state feedback (energy delivered, bound updates) happens outside; this
-    object only decides pilots.
+    A solve is used only when its status is ``optimal``; any other status,
+    like a quantization it cannot repair, takes the counted minimum-rate
+    fallback. EV state feedback (energy delivered, bound updates) happens
+    outside; this object only decides pilots.
     """
 
     name = "asa"
@@ -681,7 +678,6 @@ class AdaptiveScheduler:
         quantized: bool = False,
         constraint_mode: str = "affine",
         period_minutes: float = 5.0,
-        tol: float = 1e-4,
     ):
         if horizon < 1 or recompute_period < 1:
             raise ValueError("horizon and recompute period must be positive")
@@ -692,7 +688,6 @@ class AdaptiveScheduler:
         self.quantized = quantized
         self.constraint_mode = constraint_mode
         self.period_minutes = period_minutes
-        self.tol = tol
         self._schedule: Schedule | None = None
         self.solve_count = 0
         self.fallback_count = 0
@@ -729,7 +724,6 @@ class AdaptiveScheduler:
                     order=order,
                     t=k,
                     mode=self.constraint_mode,
-                    tol=self.tol,
                 )
             except QuantizationError as exc:
                 self.fallback_count += 1
@@ -753,15 +747,9 @@ class AdaptiveScheduler:
             quantized=self.quantized,
             period_minutes=self.period_minutes,
         )
-        solution = solve(program, tol=self.tol)
+        solution = solve(program)
         self.solve_count += 1
-        usable = solution.status == OPTIMAL or (
-            solution.status == MAX_ITER
-            and math.isfinite(solution.objective)
-            and solution.max_violation <= ACCEPT_VIOLATION
-            and program.row_violation(solution.x) <= ACCEPT_VIOLATION
-        )
-        if usable:
+        if solution.status == OPTIMAL:
             self._schedule = Schedule(varmap.schedule(solution.x), k, horizon)
             return
         self.fallback_count += 1

@@ -60,19 +60,24 @@ SCENARIOS: dict[str, Scenario] = {
 }
 
 
+# The network audit counts a period whose applied pilots overrun a magnitude limit by more than this (amps).
+AUDIT_TOL = 1e-3
+
+
 @dataclass
 class SimConfig:
+    """How a run is clocked and billed, and whether rampdown tracks tapering batteries.
+
+    Rampdown keeps ``rampdown_update``'s thresholds, and batteries start to
+    taper at ``fit_to_session``'s knee.
+    """
+
     period_minutes: float = 5.0
     start_day: str = "mon"
     tariff: Tariff | None = None
     revenue_per_kwh: float = 0.30
     billing_days: float | None = None
     rampdown: bool | None = None  # None: on exactly when batteries taper
-    theta_down: float = 2.0
-    theta_up: float = 1.0
-    sigma: float = 1.0
-    tail_start_soc: float = 0.8
-    audit_tol: float = 1e-3
 
 
 @dataclass
@@ -240,9 +245,7 @@ def run(
         for s in arrivals.get(k, ()):
             evse = network.evse(s.evse_id)
             states[s.id] = EvState.start(s, evse)
-            batteries[s.id] = fit_to_session(
-                s.requested_energy, evse.max_pilot, model, config.tail_start_soc
-            )
+            batteries[s.id] = fit_to_session(s.requested_energy, evse.max_pilot, model)
             event = True
 
         allocation = algorithm.pilots(states, k, event) if states else {}
@@ -268,20 +271,11 @@ def run(
             state.apply_measurement(p, drawn)
             if rampdown_on:
                 floor = 0.0 if scenario.continuous_pilots else state.evse.min_rate
-                state.pilot_upper_bound = rampdown_update(
-                    p,
-                    drawn,
-                    state.pilot_upper_bound,
-                    state.evse.max_pilot,
-                    config.theta_down,
-                    config.theta_up,
-                    config.sigma,
-                    floor,
-                )
+                state.pilot_upper_bound = rampdown_update(p, drawn, state.pilot_upper_bound, state.evse.max_pilot, floor=floor)
             rates_by_evse[state.evse.id] = rates_by_evse.get(state.evse.id, 0.0) + p
 
         if algorithm.name != "uncontrolled" and rates_by_evse:
-            if not (network.margins(rates_by_evse, k, "soc") >= -config.audit_tol).all():
+            if not (network.margins(rates_by_evse, k, "soc") >= -AUDIT_TOL).all():
                 audit["network"] += 1
 
         measured_by_evse = {state.evse.id: measured_mat[sid_row[sid], k] for sid, state in states.items()}
@@ -341,7 +335,6 @@ def offline_optimal(
     config: SimConfig | None = None,
     *,
     constraint_mode: str = "affine",
-    tol: float = 1e-4,
 ) -> tuple[SimResult, dict[str, np.ndarray]]:
     """Hindsight benchmark: one solve over the whole window, then replay.
 
@@ -358,7 +351,7 @@ def offline_optimal(
         hindsight_windows(sessions, network, K), utility, network, K,
         constraint_mode=constraint_mode, period_minutes=config.period_minutes,
     )
-    solution = solve(program, tol=tol)
+    solution = solve(program)
     if solution.status != OPTIMAL:
         raise RuntimeError(f"offline benchmark solve ended with status {solution.status}")
     schedule = varmap.schedule(solution.x)

@@ -13,12 +13,14 @@ One primal-dual Mehrotra predictor-corrector method (Wright, 1997) solves
 the program, rows and finite bounds in the nonnegative orthant and each
 cone scaled at its Nesterov-Todd point as in CVXOPT's coneqp and ECOS
 (Domahidi, Chu and Boyd, 2013); a cone counts as degree 1 in mu. A bound
-only adds its barrier weight z/s to the diagonal. Each Newton step solves
-(P + delta + G'HG) dx = r, H being z/s on a row and (W^2 + delta)^-1 on a
-cone with NT scaling W, by dense Cholesky up to a thousand variables and
-otherwise by sparse LU of the KKT system, in which a cone has the dense
-block -(W^2 + delta). What depends only on the program is fixed once per
-call, as in OSQP. A solution reports its relative residuals and mu.
+only adds its barrier weight to the diagonal. Each Newton step solves
+(P + delta + G'HG) dx = r, H being (s/z + 1e-9)^-1 on a row and
+(W^2 + 1e-9)^-1 on a cone with NT scaling W, by dense Cholesky up to a
+thousand variables and otherwise by sparse LU of the KKT system, in which a
+cone has the dense block -(W^2 + 1e-9). A failed factorization raises delta,
+on P and the equality rows only, 100-fold. What depends only on the program
+is fixed once per call, as in OSQP. A solution reports its relative
+residuals and mu.
 
 Infeasibility is proved two ways. One pass over the rows, and _TANGENTS
 half-planes circumscribing each disk, takes each row's minimum over the
@@ -49,7 +51,8 @@ MAX_ITER = "max_iter"
 
 _TANGENTS = 16
 _INNER_MAX_ITER = 100
-_DELTA = 1e-9  # the interior point's regularization until a factorization fails
+_TOL = 1e-8  # the interior point's bound on its scaled residuals and mu
+_DELTA = 1e-9  # the regularization under s/z and W^2; on P and Ax = b until a factorization fails
 
 
 class ProgramError(ValueError):
@@ -231,30 +234,19 @@ class ConvexProgram:
             v -= term.weight * term.value(x)
         return v
 
-    def max_violation(self, x: np.ndarray) -> float:
-        """Worst disk-constraint violation at x, in limit units (0 if none)."""
-        return max([0.0] + [math.hypot(*d.phasor(x)) - d.limit for d in self.disks])
-
-    def row_violation(self, x: np.ndarray) -> float:
-        """Worst violation at x of the bounds, inequality rows and equality rows (0 if none)."""
-        return max(0.0, float(np.max(self.lower - x)), float(np.max(x - self.upper)),
-                   float(np.max(self.linear_ineqs.residuals(x), initial=0.0)),
-                   float(np.max(np.abs(self.linear_eqs.residuals(x)), initial=0.0)))
-
 
 @dataclass(eq=False)
 class Solution:
     """What ``solve`` returns: the point, its status and how the solve went.
 
-    A program proved infeasible by one row carries the start point as x, NaN
-    objective and max_violation and no iterations. Residuals and mu at x are
-    scaled as the stopping test scales them: optimal means each within tolerance.
+    A program proved infeasible by one row carries the start point as x, a NaN
+    objective and no iterations. Residuals and mu at x are scaled as the
+    stopping test scales them: optimal means each within tolerance.
     """
 
     x: np.ndarray
     status: str
     objective: float
-    max_violation: float  # worst disk violation at x, in limit units
     inner_iterations: int  # Mehrotra iterations of the interior point
     primal_residual: float = math.nan
     dual_residual: float = math.nan
@@ -588,7 +580,7 @@ def _import_scipy() -> None:
         import scipy.sparse.linalg as spla
 
 
-def _ipm_qp(P_diag, q, G, h, lower, upper, A, b, x0, cones=None, feas_tol=1e-8, max_iter=_INNER_MAX_ITER):
+def _ipm_qp(P_diag, q, G, h, lower, upper, A, b, x0, cones=None):
     """Minimize 1/2 x'diag(P)x + q'x  s.t.  Gx <= h, lower <= x <= upper, Ax = b, h_c - G_c x in the cones.
 
     ``cones`` is None or (G_c, h_c, dims), G_c's rows running cone by cone.
@@ -622,7 +614,7 @@ def _ipm_qp(P_diag, q, G, h, lower, upper, A, b, x0, cones=None, feas_tol=1e-8, 
     h_scale = 1.0 + float(np.max(np.abs(hs))) if m else 1.0
 
     best = (np.inf, x.copy(), (math.nan,) * 3)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _INNER_MAX_ITER + 1):
         if cs:
             s[k:], z[k:] = scaling.scale(scaling.lam), scaling.unscale(scaling.lam)
         rd = P_diag * x + q + ineq.tdot(z) + (As.T @ y if p else 0.0)
@@ -637,7 +629,7 @@ def _ipm_qp(P_diag, q, G, h, lower, upper, A, b, x0, cones=None, feas_tol=1e-8, 
         residuals = (max(pres, eres) / h_scale, dres / q_scale, mu / q_scale)
         if merit < best[0]:
             best = (merit, x.copy(), residuals)
-        if pres <= feas_tol * h_scale and eres <= feas_tol * h_scale and dres <= feas_tol * q_scale and mu <= feas_tol * q_scale:
+        if max(pres, eres) <= _TOL * h_scale and dres <= _TOL * q_scale and mu <= _TOL * q_scale:
             return x, OPTIMAL, it, residuals
 
         # Diverging multipliers mean the iteration is chasing an infeasibility
@@ -646,12 +638,12 @@ def _ipm_qp(P_diag, q, G, h, lower, upper, A, b, x0, cones=None, feas_tol=1e-8, 
         if mu > 1e12 or dual_mass > 1e14:
             return best[1], MAX_ITER, it, best[2]
 
-        # The step solves [[P + delta, A', G'], [A, -delta, 0], [G, 0, -(W^2 + delta)]],
-        # W^2 = S/Z on the orthant; a failed factorization retries with 100x
-        # delta. With cones the delta under W^2 stays _DELTA: on lookahead-96
-        # programs a raised floor there stalled mu just above the tolerance.
+        # The step solves [[P + delta, A', G'], [A, -delta, 0], [G, 0, -(W^2 + _DELTA)]],
+        # W^2 = S/Z on the orthant; a failed factorization retries the same
+        # iterate with 100x delta. The floor under W^2 stays _DELTA: raised,
+        # it stalled mu just above the tolerance on near-zero slacks.
         try:
-            solve_step = factor(P_diag + delta, s[:k] / z[:k] + (_DELTA if cs else delta), delta, scaling)
+            solve_step = factor(P_diag + delta, s[:k] / z[:k] + _DELTA, delta, scaling)
         except (RuntimeError, sla.LinAlgError):
             delta *= 100.0
             if delta > 1e-2:
@@ -685,7 +677,7 @@ def _ipm_qp(P_diag, q, G, h, lower, upper, A, b, x0, cones=None, feas_tol=1e-8, 
         if cs:
             scaling = scaling.then(*scaled, alpha)
 
-    return best[1], MAX_ITER, max_iter, best[2]
+    return best[1], MAX_ITER, _INNER_MAX_ITER, best[2]
 
 
 def _certify_infeasible(G, h, lower, upper, A, b, x0, cones=None) -> bool:
@@ -791,12 +783,12 @@ def _initial_point(program: ConvexProgram, ntot: int) -> np.ndarray:
     return x0
 
 
-def solve(program: ConvexProgram, tol: float = 1e-4) -> Solution:
+def solve(program: ConvexProgram) -> Solution:
     """Maximize the program's objective; see module docstring for the method.
 
     The interior point stops when its scaled residuals and mu are at most
-    min(1e-8, tol / 100). Status is ``optimal``, ``infeasible``, or
-    ``max_iter``: it stopped short, phase-1 proved nothing, and its best point is returned.
+    1e-8. Status is ``optimal``, ``infeasible``, or ``max_iter``: it stopped
+    short, phase-1 proved nothing, and its best point is returned.
     """
     program.validate()
     _import_scipy()
@@ -809,12 +801,11 @@ def solve(program: ConvexProgram, tol: float = 1e-4) -> Solution:
                              _tangent_floors(program.disks, lower, upper)])
     hb = np.concatenate([rhs, upper[np.isfinite(upper)], -lower[np.isfinite(lower)], cones[1] if cones else []])
     if (floors > _phase1_threshold(hb)).any():
-        return Solution(x0[: program.n], INFEASIBLE, math.nan, math.nan, 0)
+        return Solution(x0[: program.n], INFEASIBLE, math.nan, 0)
 
     G, h = rows.csr(len(q))
-    x_full, status, iterations, residuals = _ipm_qp(P, q, G, h, lower, upper, A, b, x0, cones,
-                                                    feas_tol=min(1e-8, tol * 1e-2))
+    x_full, status, iterations, residuals = _ipm_qp(P, q, G, h, lower, upper, A, b, x0, cones)
     x = x_full[: program.n]
     if status != OPTIMAL and _certify_infeasible(G, h, lower, upper, A, b, x0, cones):
-        return Solution(x, INFEASIBLE, math.nan, math.nan, iterations, *residuals)
-    return Solution(x, status, program.objective_value(x), program.max_violation(x), iterations, *residuals)
+        return Solution(x, INFEASIBLE, math.nan, iterations, *residuals)
+    return Solution(x, status, program.objective_value(x), iterations, *residuals)

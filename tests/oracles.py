@@ -62,6 +62,18 @@ def aggregate_phasor(network: ChargingNetwork, constraint_id: str, rates, t: int
     return complex(network.aggregates(rates, t)[network.constraint_index[constraint_id]])
 
 
+def disk_violation(program: ConvexProgram, x) -> float:
+    """Worst disk overrun of a program at x, in limit units (0 if none), one disk at a time."""
+    return max([0.0] + [abs(complex(d.real.value(x), d.imag.value(x))) - d.limit for d in program.disks])
+
+
+def row_violation(program: ConvexProgram, x) -> float:
+    """Worst violation at x of a program's bounds, inequality rows and equality rows (0 if none), row by row."""
+    worst = max([0.0] + [lo - v for lo, v in zip(program.lower, x)] + [v - hi for hi, v in zip(program.upper, x)])
+    worst = max([worst] + [expr.value(x) - rhs for expr, rhs in program.linear_ineqs])
+    return max([worst] + [abs(expr.value(x) - rhs) for expr, rhs in program.linear_eqs])
+
+
 def grid_search_max(program: ConvexProgram, step: float = 0.01, feas_tol: float = 1e-9):
     """Exhaustive objective maximization on a uniform grid over the box.
 

@@ -115,7 +115,7 @@ def test_criterion_01_solver_matches_grid_search():
     for _ in range(200):
         prog = random_grid_instance(rng)
         t_solve = time.perf_counter()
-        res = solve(prog, tol=1e-6)
+        res = solve(prog)
         t_oracle = time.perf_counter()
         ref, _ = grid_search_max(prog, step=0.01)
         solver_s += t_oracle - t_solve

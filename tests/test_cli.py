@@ -46,6 +46,14 @@ def test_invalid_json_config_is_a_clean_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_unknown_config_keys_are_a_clean_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"horizn": 36, "solver_tol": 1e-4, "scenario": "II"}))
+    assert main(["simulate", "--config", str(path), "--dry-run"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "'horizn'" in err and "'solver_tol'" in err
+
+
 def test_simulate_writes_outputs(tiny_config, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(tiny_config), "--out", str(out)]) == 0

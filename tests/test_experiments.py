@@ -163,6 +163,7 @@ def test_capacity_sweep_rows_are_sorted_and_deterministic(tmp_path):
         (10.0, "asa"), (10.0, "llf"), (25.0, "asa"), (25.0, "llf"),
     ]
     assert rows == capacity_sweep(cfg)
+    assert rows == capacity_sweep(cfg, jobs=2)
     for r in rows:
         assert 0.0 <= r["demand_met"] <= 1.0
         assert r["audit_violations"] == 0

@@ -418,17 +418,18 @@ def test_adaptive_scheduler_falls_back_when_program_infeasible():
     assert sched.fallback_count == 1
 
 
-def test_max_iter_result_is_used_only_when_its_rows_hold(monkeypatch):
-    # A max_iter point passes the disk check trivially in affine mode; its
-    # energy row must still hold. 4 x 32 A breaks the 50 A-period budget.
+def test_a_max_iter_result_is_never_used(monkeypatch):
+    # Neither a point that breaks the 50 A-period energy budget (4 x 32 A)
+    # nor one that holds every row (4 x 12.5 A) is used: both take the
+    # minimum-rate fallback's 6 A.
     evse = continuous_evse("E1", 32.0, 0.0)
     net = _line([evse], 40.0)
-    for x, fallbacks, pilot in ((np.full(4, 32.0), 1, 6.0), (np.full(4, 12.5), 0, 12.5)):
-        monkeypatch.setattr(scheduler_mod, "solve", lambda program, **_: Solution(x, MAX_ITER, 1.0, 0.0, 1, 0, [0.0]))
+    for x in (np.full(4, 32.0), np.full(4, 12.5)):
+        monkeypatch.setattr(scheduler_mod, "solve", lambda program: Solution(x, MAX_ITER, 1.0, 1))
         sched = AdaptiveScheduler(net, QC_ES)
         pilots = sched.pilots({"a": _state("a", evse, departure=4, energy=50.0)}, 0, True)
-        assert sched.fallback_count == fallbacks
-        assert pilots == {"a": pytest.approx(pilot)}
+        assert sched.fallback_count == 1
+        assert pilots == {"a": pytest.approx(6.0)}
 
 
 def test_quantize_signals_pilots_it_cannot_make_feasible(monkeypatch):
@@ -440,8 +441,8 @@ def test_quantize_signals_pilots_it_cannot_make_feasible(monkeypatch):
     with pytest.raises(QuantizationError):
         quantize_and_reclaim({"A": 24.9}, net, mode="soc")
 
-    relaxed = Solution(np.array([24.9]), OPTIMAL, 24.9, 0.0, 1, 0, [0.0])
-    monkeypatch.setattr(scheduler_mod, "solve", lambda program, **_: relaxed)
+    relaxed = Solution(np.array([24.9]), OPTIMAL, 24.9, 1)
+    monkeypatch.setattr(scheduler_mod, "solve", lambda program: relaxed)
     sched = AdaptiveScheduler(net, QC_ES, quantized=True, constraint_mode="soc")
     pilots = sched.pilots({"a": _state("a", evse, energy=24.9)}, 0, True)
     assert sched.fallback_count == 1

@@ -30,7 +30,7 @@ from evsched.solver import (
     solve,
 )
 from evsched.workload import Session
-from oracles import grid_search_max, random_grid_instance
+from oracles import disk_violation, grid_search_max, random_grid_instance, row_violation
 
 
 def test_disk_constrained_linear_max():
@@ -39,11 +39,11 @@ def test_disk_constrained_linear_max():
     p.upper[:] = 2.0
     p.linear_cost[:] = 1.0
     p.add_disk(LinExpr([0], [1.0]), LinExpr([1], [1.0]), math.sqrt(2))
-    sol = solve(p, tol=1e-6)
+    sol = solve(p)
     assert sol.status == OPTIMAL
     assert sol.x == pytest.approx([1.0, 1.0], abs=1e-5)
     assert sol.objective == pytest.approx(2.0, abs=1e-5)
-    assert sol.max_violation <= 1e-6
+    assert disk_violation(p, sol.x) <= 1e-6
 
 
 def test_bound_constrained_quadratic():
@@ -70,7 +70,7 @@ def test_active_disk_holds_exactly():
     p.upper[:] = 10.0
     p.linear_cost[:] = [3.0, 4.0]
     p.add_disk(LinExpr([0], [1.0]), LinExpr([1], [1.0]), 2.5)
-    sol = solve(p, tol=1e-6)
+    sol = solve(p)
     assert sol.status == OPTIMAL and _holds_exactly(p, sol)
     assert sol.x == pytest.approx([1.5, 2.0], abs=1e-4)
     assert math.hypot(*sol.x) == pytest.approx(2.5, abs=1e-7)  # active
@@ -82,7 +82,7 @@ def test_active_offset_disk_holds_exactly():
     p.upper[:] = 10.0
     p.linear_cost[:] = 1.0
     p.add_disk(LinExpr([0], [1.0], 1.0), LinExpr([], [], 2.0), 2.5)
-    sol = solve(p, tol=1e-6)
+    sol = solve(p)
     assert sol.status == OPTIMAL and _holds_exactly(p, sol)
     assert sol.x[0] == pytest.approx(0.5, abs=1e-4)
     assert math.hypot(*p.disks[0].phasor(sol.x)) == pytest.approx(2.5, abs=1e-7)
@@ -131,7 +131,7 @@ def test_norm_term():
     p.upper[:] = 3.0
     p.linear_cost[:] = 0.01
     p.norm_terms.append(NormTerm(1.0, [LinExpr([0], [1.0], -1.0), LinExpr([1], [1.0], -1.0)]))
-    sol = solve(p, tol=1e-6)
+    sol = solve(p)
     assert sol.status == OPTIMAL
     assert sol.x == pytest.approx([1.0, 1.0], abs=1e-4)
     assert sol.objective == pytest.approx(0.02, abs=1e-4)
@@ -231,9 +231,9 @@ def test_random_disk_programs_hold_their_disks_exactly():
             im = rng.uniform(-1, 1, n)
             limit = float(rng.uniform(5, 30))
             prog.add_disk(LinExpr(np.arange(n), re), LinExpr(np.arange(n), im), limit)
-        sol = solve(prog, tol=1e-6)
+        sol = solve(prog)
         assert sol.status == OPTIMAL and _holds_exactly(prog, sol)
-        assert sol.max_violation <= 1e-8
+        assert disk_violation(prog, sol.x) <= 1e-8
 
 
 def test_objective_reported_from_point_not_aux():
@@ -360,9 +360,9 @@ def _factorization_programs():
                               "joint_rows", "joint_disk"])
 def test_dense_and_sparse_newton_steps_agree(prog, monkeypatch):
     assert prog.n + len(prog.epigraph_terms) + len(prog.norm_terms) <= solver_mod._DENSE_MAX_N
-    dense = solve(prog, tol=1e-6)
+    dense = solve(prog)
     monkeypatch.setattr(solver_mod, "_DENSE_MAX_N", 0)
-    sparse = solve(prog, tol=1e-6)
+    sparse = solve(prog)
     assert dense.status == sparse.status
     assert dense.outer_iterations == sparse.outer_iterations
     assert dense.cuts_added == sparse.cuts_added
@@ -375,10 +375,10 @@ def test_factorization_programs_cover_their_features():
     site, mixed, infeasible = programs[:3]
     assert site.linear_eqs and site.epigraph_terms and site.norm_terms and site.disks
     assert np.isinf(site.lower).any() and (site.lower > 0).any()
-    sol = solve(site, tol=1e-6)
+    sol = solve(site)
     assert sol.status == OPTIMAL and _holds_exactly(site, sol)
     assert any(math.hypot(*d.phasor(sol.x)) >= d.limit - 1e-6 for d in site.disks)  # a disk binds
-    assert solve(mixed, tol=1e-6).status == OPTIMAL
+    assert solve(mixed).status == OPTIMAL
     assert _proved_by_one_row(solve(infeasible))
     for joint in programs[-2:]:  # through the Newton steps and phase-1
         sol = solve(joint)
@@ -387,7 +387,7 @@ def test_factorization_programs_cover_their_features():
 
 def test_inner_iterations_one_count_per_outer_pass():
     for prog in _factorization_programs():
-        sol = solve(prog, tol=1e-6)
+        sol = solve(prog)
         assert sol.outer_iterations == (sol.inner_iterations > 0)
         assert sol.outer_iterations > 0 or _proved_by_one_row(sol)
 
@@ -423,7 +423,7 @@ def test_solve_leaves_the_program_rows_alone():
     prog = _site_program()
     count = len(prog.linear_ineqs)
     before = [a.copy() for a in prog.linear_ineqs.arrays()]
-    sol = solve(prog, tol=1e-6)
+    sol = solve(prog)
     assert sol.status == OPTIMAL and sol.cuts_added == 0
     assert len(prog.linear_ineqs) == count
     for a, b in zip(prog.linear_ineqs.arrays(), before):
@@ -433,7 +433,7 @@ def test_solve_leaves_the_program_rows_alone():
 def test_failed_cholesky_retries_the_step_with_a_larger_delta(monkeypatch):
     solver_mod._import_scipy()
     lapack = solver_mod.sla.get_lapack_funcs
-    failed, deltas = [], []
+    failed, calls = [], []
 
     def flaky_lapack(names, arrays=(), **kwargs):
         potrf, potrs = lapack(names, arrays, **kwargs)
@@ -453,29 +453,35 @@ def test_failed_cholesky_retries_the_step_with_a_larger_delta(monkeypatch):
         factor = normal_step(ineq, As, p)
 
         def recorded(p_reg, d, delta, scaling=None):
-            deltas.append(delta)
+            calls.append((delta, d.copy()))
             return factor(p_reg, d, delta, scaling)
 
         return recorded
 
     monkeypatch.setattr(solver_mod.sla, "get_lapack_funcs", flaky_lapack)
     monkeypatch.setattr(solver_mod, "_normal_step", recording_normal_step)
-    sol = solve(_mixed_bounds_program(), tol=1e-6)
-    assert failed == [True]
-    assert deltas[:2] == [1e-9, pytest.approx(1e-7)]  # the same iterate, refactored with 100x delta
-    assert sol.status == OPTIMAL
+    without_cones = _mixed_bounds_program()
+    without_cones.disks.clear()
+    without_cones.norm_terms.clear()
+    for prog in (_mixed_bounds_program(), without_cones):
+        failed.clear()
+        calls.clear()
+        sol = solve(prog)
+        assert failed == [True]
+        (delta, d), (retry_delta, retry_d) = calls[:2]
+        assert (delta, retry_delta) == (1e-9, pytest.approx(1e-7))  # the same iterate, refactored with 100x delta
+        assert retry_d.tobytes() == d.tobytes()  # on P and Ax = b only: the floor under s/z stays
+        assert sol.status == OPTIMAL
 
 
 def test_optimal_solutions_report_residuals_within_the_inner_tolerance():
-    tol = 1e-6
-    inner_tol = min(1e-8, tol * 1e-2)
     optimal = 0
     for prog in _factorization_programs():
-        sol = solve(prog, tol=tol)
+        sol = solve(prog)
         if sol.status == OPTIMAL:
             optimal += 1
             residuals = (sol.primal_residual, sol.dual_residual, sol.mu)
-            assert all(0.0 <= r <= inner_tol for r in residuals), residuals
+            assert all(0.0 <= r <= 1e-8 for r in residuals), residuals
     assert optimal == 5
 
 
@@ -508,7 +514,7 @@ def _programs_around_a_feasible_point(draw):
 @given(_programs_around_a_feasible_point())
 def test_programs_with_a_feasible_point_are_never_proved_infeasible(case):
     prog, xf = case
-    assert prog.row_violation(xf) <= 1e-9
+    assert row_violation(prog, xf) <= 1e-9
     assert solve(prog).status != INFEASIBLE
 
 
@@ -579,7 +585,7 @@ def _small_cone_programs(draw):
 @given(_small_cone_programs())
 def test_cone_programs_match_the_grid_oracle(prog):
     ref, _ = grid_search_max(prog, step=0.01)
-    sol = solve(prog, tol=1e-6)
+    sol = solve(prog)
     assert sol.status == OPTIMAL and _holds_exactly(prog, sol)
     assert abs(sol.objective - ref) <= 1e-2
     assert sol.objective >= ref - 1e-6  # the grid's best point is feasible, so no better than the optimum
