@@ -3,9 +3,9 @@
 Each takes the active EV states and greedily hands out the largest feasible
 rate in a fixed priority order: least laxity first, earliest deadline first,
 or round-robin one increment at a time. In quantized mode everyone is first
-pinned at their minimum nonzero pilot, or at 0 where their bound lies below
-it (falling back to a priority subset when even that does not fit), then
-raised along each stall's allowed pilot list.
+pinned at their ``minimum_pilot`` (the minimum-rate fallback, in the same
+priority order, when even that does not fit), then raised along each stall's
+allowed pilot list.
 
 Nothing is found by trial: with every other pilot fixed, the network's
 ``rate_window`` gives in one step the interval of rates one stall can take,
@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from evsched.network import ChargingNetwork
-from evsched.scheduler import EvState, laxity, minimum_rate_fallback
+from evsched.scheduler import EvState, laxity, minimum_pilot, minimum_rate_fallback
 
 __all__ = [
     "llf_pilots",
@@ -49,7 +49,7 @@ _INSIDE = 1e-10
 
 def _rate_cap(state: EvState, quantized: bool) -> float:
     """Largest useful pilot: hardware bound, tapered bound, and need."""
-    bound = min(state.evse.max_pilot, state.pilot_upper_bound)
+    bound = state.pilot_bound
     need = state.remaining_energy
     if need >= bound:
         return bound
@@ -66,12 +66,11 @@ def _max_feasible(
     quantized: bool,
     t: int,
     mode: str,
-    tol: float,
 ) -> float:
     """Largest rate for one EV keeping the partial allocation ``vec`` feasible."""
     evse = state.evse
     base = float(vec[network.evse_index[evse.id]])
-    lo, hi = network.rate_window(vec, network.evse_index[evse.id], t, mode, tol)
+    lo, hi = network.rate_window(vec, network.evse_index[evse.id], t, mode)
     if quantized:
         if evse.continuous:
             menu = [base] + list(np.arange(evse.min_nonzero_rate, cap + 1e-9, 1.0))
@@ -87,30 +86,11 @@ def _max_feasible(
 
 
 def _pinned_minimums(active: Sequence[EvState], network: ChargingNetwork) -> np.ndarray:
-    """Network-ordered vector with every active EV at its minimum nonzero pilot.
-
-    An EV whose bound lies below that pilot has no nonzero pilot on its menu
-    within the bound, and is pinned at 0.
-    """
+    """Network-ordered vector with every active EV at its quantized ``minimum_pilot``."""
     vec = np.zeros(len(network))
     for s in active:
-        if min(s.pilot_upper_bound, s.evse.max_pilot) >= s.evse.min_rate:
-            vec[network.evse_index[s.evse.id]] = s.evse.min_rate
+        vec[network.evse_index[s.evse.id]] = minimum_pilot(s, True)
     return vec
-
-
-def _pinned_fallback(
-    active: Sequence[EvState],
-    pinned: np.ndarray,
-    network: ChargingNetwork,
-    key: Callable[[EvState], float],
-    t: int,
-    mode: str,
-    tol: float,
-) -> dict[str, float]:
-    """The minimum-rate fallback over the EVs pinned above 0; an EV pinned at 0 gets 0."""
-    out = minimum_rate_fallback([s for s in active if pinned[network.evse_index[s.evse.id]] > 0], network, key, t, mode, tol)
-    return {**out, **{s.session.id: 0.0 for s in active if s.session.id not in out}}
 
 
 def _priority_pilots(
@@ -120,18 +100,17 @@ def _priority_pilots(
     quantized: bool,
     t: int,
     mode: str,
-    tol: float,
 ) -> dict[str, float]:
     order = sorted(active, key=lambda s: (key(s), s.session.arrival, s.session.id))
     vec = np.zeros(len(network))
     if quantized:
         vec = _pinned_minimums(active, network)
-        if not network.is_feasible(vec, t, mode, tol):
-            return _pinned_fallback(active, vec, network, key, t, mode, tol)
+        if not network.is_feasible(vec, t, mode):
+            return minimum_rate_fallback(active, network, key, t, mode, quantized=True)
     out = {}
     for state in order:
         cap = _rate_cap(state, quantized)
-        best = _max_feasible(vec, state, network, cap, quantized, t, mode, tol)
+        best = _max_feasible(vec, state, network, cap, quantized, t, mode)
         vec[network.evse_index[state.evse.id]] = best
         out[state.session.id] = best
     return out
@@ -143,10 +122,9 @@ def llf_pilots(
     quantized: bool = False,
     t: int = 0,
     mode: str = "affine",
-    tol: float = 1e-6,
 ) -> dict[str, float]:
     """Least laxity first: urgency = slack periods left at full blast."""
-    return _priority_pilots(active, network, laxity, quantized, t, mode, tol)
+    return _priority_pilots(active, network, laxity, quantized, t, mode)
 
 
 def edf_pilots(
@@ -155,10 +133,9 @@ def edf_pilots(
     quantized: bool = False,
     t: int = 0,
     mode: str = "affine",
-    tol: float = 1e-6,
 ) -> dict[str, float]:
     """Earliest departure first."""
-    return _priority_pilots(active, network, lambda s: float(s.session.departure), quantized, t, mode, tol)
+    return _priority_pilots(active, network, lambda s: float(s.session.departure), quantized, t, mode)
 
 
 def rr_pilots(
@@ -167,7 +144,6 @@ def rr_pilots(
     quantized: bool = False,
     t: int = 0,
     mode: str = "affine",
-    tol: float = 1e-6,
 ) -> dict[str, float]:
     """Round-robin: cycle arrivals, raising each pilot one step while it fits.
 
@@ -178,7 +154,8 @@ def rr_pilots(
     with some stalls already raised, which lies between start and end
     componentwise, and the affine margins only fall as rates rise, so every
     turn's vector would have passed the affine check, hence its window in
-    either mode (the windows' tol is far above the rounding of either check).
+    either mode (the windows' 1e-6 A tolerance is far above the rounding of
+    either check).
     A sweep that fails the check is played turn by turn: a stall whose window
     does not hold its next rung stops there.
     """
@@ -186,8 +163,8 @@ def rr_pilots(
     vec = np.zeros(len(network))
     if quantized:
         vec = _pinned_minimums(active, network)
-        if not network.is_feasible(vec, t, mode, tol):
-            return _pinned_fallback(active, vec, network, lambda s: float(s.session.arrival), t, mode, tol)
+        if not network.is_feasible(vec, t, mode):
+            return minimum_rate_fallback(active, network, lambda s: float(s.session.arrival), t, mode, quantized=True)
     live = [(network.evse_index[s.evse.id], s.evse, _rate_cap(s, quantized)) for s in order]
     while live:
         moving = []  # (stall, next rung) of every live stall that has one
@@ -204,7 +181,7 @@ def rr_pilots(
             continue
         live = []
         for stall, nxt in moving:
-            lo, hi = network.rate_window(vec, stall[0], t, mode, tol)
+            lo, hi = network.rate_window(vec, stall[0], t, mode)
             if lo <= nxt <= hi:
                 vec[stall[0]] = nxt
                 live.append(stall)

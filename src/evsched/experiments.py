@@ -90,26 +90,48 @@ _DEFAULTS: dict[str, Any] = {
 }
 
 
-# Keys without a default, read only by ``capacity_sweep`` and ``profit_experiment``.
-_OPTIONAL_KEYS = frozenset({"sweep", "profit_runs"})
+# The keys a config may hold at its top level and in each nested section.
+# ``sweep`` and ``profit_runs`` have no default: only ``capacity_sweep`` and
+# ``profit_experiment`` read them.
+_KNOWN_KEYS = {
+    "config": {*_DEFAULTS, "sweep", "profit_runs"},
+    "network": {"file", "preset", "n_evse", "transformer_kw"},
+    "workload": {"file", "generate"},
+    "workload.generate": {"days", "stats", "session_scale"},
+}
+
+
+def _check_keys(section: Any, where: str) -> dict[str, Any]:
+    """The section itself, once it is a JSON object holding only keys the program knows."""
+    if not isinstance(section, dict):
+        raise ValueError(f"{where} must be a JSON object, not {section!r}")
+    unknown = sorted(set(section) - _KNOWN_KEYS[where])
+    if unknown:
+        raise ValueError(f"unknown {where} keys {unknown}")
+    return section
 
 
 def resolve_config(raw: dict[str, Any], base_dir: str | Path | None = None) -> dict[str, Any]:
-    """Fill defaults and resolve file paths relative to the config's home; an unknown key is an error."""
-    unknown = sorted(set(raw) - set(_DEFAULTS) - _OPTIONAL_KEYS)
-    if unknown:
-        raise ValueError(f"unknown config keys {unknown}")
+    """Fill defaults and resolve file paths relative to the config's home.
+
+    An unknown key is an error, at the top level and inside ``network``,
+    ``workload`` and ``workload.generate``; so is any ``stats`` but ``caltech``.
+    """
+    _check_keys(raw, "config")
     cfg = {**_DEFAULTS, **raw}
+    _check_keys(cfg["network"], "network")
+    gen = _check_keys(cfg["workload"], "workload").get("generate", {})
+    _check_keys(gen, "workload.generate")
+    if gen.get("stats", "caltech") != "caltech":
+        raise ValueError(f"unknown workload.generate stats {gen['stats']!r}; only 'caltech' is built in")
     base = Path(base_dir) if base_dir is not None else Path.cwd()
-    for section, key in (("network", "file"), ("workload", "file")):
-        spec = cfg.get(section)
-        if isinstance(spec, dict) and key in spec:
-            path = Path(spec[key])
-            if not path.is_absolute():
-                spec = {**spec, key: str((base / path).resolve())}
-                cfg[section] = spec
-            if not Path(cfg[section][key]).exists():
-                raise FileNotFoundError(f"{section} file not found: {cfg[section][key]}")
+    for section in ("network", "workload"):
+        spec = cfg[section]
+        if "file" in spec:
+            if not Path(spec["file"]).is_absolute():
+                cfg[section] = spec = {**spec, "file": str((base / spec["file"]).resolve())}
+            if not Path(spec["file"]).exists():
+                raise FileNotFoundError(f"{section} file not found: {spec['file']}")
     if cfg["scenario"] not in SCENARIOS:
         raise ValueError(f"unknown scenario {cfg['scenario']!r}; pick one of {sorted(SCENARIOS)}")
     return cfg

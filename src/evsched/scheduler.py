@@ -53,6 +53,7 @@ __all__ = [
     "Schedule",
     "active_set",
     "laxity",
+    "minimum_pilot",
     "minimum_rate_fallback",
     "Profile",
     "Window",
@@ -69,6 +70,10 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 ENERGY_EPS = 1e-9
+
+RAMPDOWN_DROP = 2.0  # amps a draw may fall under its pilot before ``rampdown_update`` collapses the bound
+RAMPDOWN_CROWD = 1.0  # amps under the bound within which a draw makes the bound back off
+RAMPDOWN_MARGIN = 1.0  # amps each rampdown move leaves over the draw
 
 
 # -- utility components ------------------------------------------------------
@@ -272,9 +277,14 @@ class EvState:
             pilot_upper_bound=evse.max_pilot,
         )
 
-    def apply_measurement(self, pilot: float, measured: float, period_length: float = 1.0) -> None:
+    @property
+    def pilot_bound(self) -> float:
+        """Largest pilot the stall may get now: its rampdown bound capped by the EVSE's maximum."""
+        return min(self.pilot_upper_bound, self.evse.max_pilot)
+
+    def apply_measurement(self, pilot: float, measured: float) -> None:
         """Feed back one period: consume energy and a period of stay."""
-        self.remaining_energy = max(self.remaining_energy - measured * period_length, 0.0)
+        self.remaining_energy = max(self.remaining_energy - measured, 0.0)
         self.remaining_duration -= 1
         self.last_pilot = pilot
         self.last_measured = measured
@@ -287,10 +297,20 @@ def active_set(states: Iterable[EvState]) -> list[EvState]:
 
 def laxity(state: EvState) -> float:
     """Slack periods left after charging flat out; smaller is more urgent."""
-    bound = min(state.evse.max_pilot, state.pilot_upper_bound)
+    bound = state.pilot_bound
     if bound <= 0:
         return float(state.remaining_duration)
     return state.remaining_duration - state.remaining_energy / bound
+
+
+def minimum_pilot(state: EvState, quantized: bool) -> float:
+    """Smallest pilot that charges the EV: its minimum rate capped by ``pilot_bound``.
+
+    A quantized EVSE accepts nothing between 0 and its minimum rate, so there a
+    bound under the minimum rate leaves 0.
+    """
+    bound = state.pilot_bound
+    return 0.0 if quantized and bound < state.evse.min_rate else min(state.evse.min_rate, bound)
 
 
 def minimum_rate_fallback(
@@ -299,26 +319,23 @@ def minimum_rate_fallback(
     priority: Callable[[EvState], float] = laxity,
     t: int = 0,
     mode: str = "affine",
-    tol: float = 1e-6,
     quantized: bool = False,
 ) -> dict[str, float]:
-    """Give EVs their smallest nonzero pilot in priority order while feasible.
+    """Give EVs their ``minimum_pilot`` in priority order while feasible.
 
     Used when the optimization cannot honor every plugged-in EV's minimum
-    rate: the most urgent EVs keep charging, the rest wait at zero. An EV's
-    smallest pilot is its minimum rate capped by its bound; with quantized
-    pilots a bound under the minimum rate leaves no nonzero pilot, and 0.
+    rate: the most urgent EVs keep charging, the rest wait at zero. An EV
+    whose minimum pilot is 0 gets 0 and leaves the network to the others.
     """
     order = sorted(active, key=lambda s: (priority(s), s.session.arrival, s.session.id))
     vec = np.zeros(len(network))
     out = {}
     for state in order:
-        bound = min(state.pilot_upper_bound, state.evse.max_pilot)
-        step = 0.0 if quantized and bound < state.evse.min_rate else min(state.evse.min_rate, bound)
+        step = minimum_pilot(state, quantized)
         out[state.session.id] = 0.0
         if step > 0:
             i = network.evse_index[state.evse.id]
-            lo, hi = network.rate_window(vec, i, t, mode, tol)
+            lo, hi = network.rate_window(vec, i, t, mode)
             if lo <= step <= hi:
                 vec[i] = out[state.session.id] = step
     return out
@@ -489,19 +506,16 @@ def lookahead_windows(active: Sequence[EvState], horizon: int, quantized: bool =
     """Each active EV's window from in-program period 0, in arrival order.
 
     A window lasts while its EV is still present, capped at the horizon. Its
-    first-period bound is the EV's rampdown bound; in quantized mode its
-    first-period rate also gets the EVSE's minimum nonzero pilot as a lower
-    bound, or 0 when the rampdown bound lies under that pilot.
+    first-period bound is the EV's ``pilot_bound``; in quantized mode its
+    first-period rate is also bounded below by the EV's ``minimum_pilot``.
     """
     windows = []
     for s in sorted(active, key=lambda s: (s.session.arrival, s.session.id)):
-        first_bound = min(s.evse.max_pilot, s.pilot_upper_bound)
         upper = np.full(min(horizon, s.remaining_duration), s.evse.max_pilot)
-        upper[:1] = first_bound
+        upper[:1] = s.pilot_bound
         # Clamp by remaining energy so a nearly-done EV cannot make the
         # program infeasible (lower bound above its own energy row).
-        pinned = quantized and first_bound >= s.evse.min_rate
-        lower = min(s.evse.min_rate, s.remaining_energy) if pinned else 0.0
+        lower = min(minimum_pilot(s, True), s.remaining_energy) if quantized else 0.0
         windows.append(Window(s.session.id, s.evse, 0, upper, lower, s.remaining_energy))
     return windows
 
@@ -536,7 +550,6 @@ def quantize_and_reclaim(
     order: Sequence[str] | None = None,
     t: int = 0,
     mode: str = "affine",
-    tol: float = 1e-6,
 ) -> dict[str, float]:
     """Snap relaxed rates (keyed by EVSE id) onto each stall's pilot set.
 
@@ -564,7 +577,7 @@ def quantize_and_reclaim(
     # (always feasible) can still repair the vector.
     feasible = True
     steps = 0
-    while not network.is_feasible(vec, t, mode, tol):
+    while not network.is_feasible(vec, t, mode):
         row = np.abs(network.weights[int(np.argmin(network.margins(vec, t, mode)))])
         movable = [e for e in desired if vec[col[e]] > 0 and row[col[e]] > 0]
         if not movable or steps == 16 * max(len(desired), 1):
@@ -601,7 +614,7 @@ def quantize_and_reclaim(
                 continue
             if total - rate + nxt > budget + 1e-9:
                 continue
-            lo, hi = network.rate_window(vec, i, t, mode, tol)
+            lo, hi = network.rate_window(vec, i, t, mode)
             if lo <= nxt <= hi:
                 vec[i] = nxt
                 total = sum(vec[cols].tolist())
@@ -616,22 +629,20 @@ def rampdown_update(
     measured: float,
     bound: float,
     max_pilot: float,
-    theta_down: float = 2.0,
-    theta_up: float = 1.0,
-    sigma: float = 1.0,
     floor: float = 0.0,
 ) -> float:
     """Track a tapering battery: chase the measured draw from above.
 
-    When the car draws well under its pilot the bound collapses to just above
-    the measurement; when the measurement crowds the bound from below the
-    bound backs off upward again, never past the hardware maximum. ``floor``
+    When the car draws more than ``RAMPDOWN_DROP`` amps under its pilot the
+    bound collapses to ``RAMPDOWN_MARGIN`` above the measurement; when the
+    measurement comes within ``RAMPDOWN_CROWD`` of the bound the bound backs
+    off upward by that margin, never past the hardware maximum. ``floor``
     keeps the bound at or above a minimum pilot where hardware requires one.
     """
-    if pilot - measured > theta_down:
-        new_bound = measured + sigma
-    elif bound - measured < theta_up:
-        new_bound = min(bound + sigma, max_pilot)
+    if pilot - measured > RAMPDOWN_DROP:
+        new_bound = measured + RAMPDOWN_MARGIN
+    elif bound - measured < RAMPDOWN_CROWD:
+        new_bound = min(bound + RAMPDOWN_MARGIN, max_pilot)
     else:
         new_bound = bound
     return min(max(new_bound, floor), max_pilot)
@@ -714,7 +725,7 @@ class AdaptiveScheduler:
 
         if self.quantized:
             desired = {s.evse.id: sched.rate_at(s.session.id, k) for s in active}
-            bounds = {s.evse.id: min(s.pilot_upper_bound, s.evse.max_pilot) for s in active}
+            bounds = {s.evse.id: s.pilot_bound for s in active}
             order = [s.evse.id for s in sorted(active, key=lambda s: (s.session.arrival, s.session.id))]
             try:
                 quantized = quantize_and_reclaim(
@@ -731,7 +742,7 @@ class AdaptiveScheduler:
                 return minimum_rate_fallback(active, self.network, laxity, k, self.constraint_mode, quantized=True)
             return {s.session.id: quantized[s.evse.id] for s in active}
         return {
-            s.session.id: float(np.clip(sched.rate_at(s.session.id, k), 0.0, min(s.pilot_upper_bound, s.evse.max_pilot)))
+            s.session.id: float(np.clip(sched.rate_at(s.session.id, k), 0.0, s.pilot_bound))
             for s in active
         }
 

@@ -43,20 +43,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Scenario:
-    """Which idealizations are in force for a run."""
+    """Which idealizations are in force for a run; scenario I's perfect knowledge is the ``offline`` algorithm's."""
 
     name: str
-    perfect_information: bool
     continuous_pilots: bool
     ideal_battery: bool
 
 
 SCENARIOS: dict[str, Scenario] = {
-    "I": Scenario("I", True, True, True),
-    "II": Scenario("II", False, True, True),
-    "III": Scenario("III", False, False, True),
-    "IV": Scenario("IV", False, True, False),
-    "V": Scenario("V", False, False, False),
+    "I": Scenario("I", True, True),
+    "II": Scenario("II", True, True),
+    "III": Scenario("III", False, True),
+    "IV": Scenario("IV", True, False),
+    "V": Scenario("V", False, False),
 }
 
 
@@ -68,8 +67,8 @@ AUDIT_TOL = 1e-3
 class SimConfig:
     """How a run is clocked and billed, and whether rampdown tracks tapering batteries.
 
-    Rampdown keeps ``rampdown_update``'s thresholds, and batteries start to
-    taper at ``fit_to_session``'s knee.
+    Rampdown moves by ``scheduler``'s ``RAMPDOWN_*`` constants, and two-stage
+    batteries start to taper at ``battery.TAIL_START_SOC``.
     """
 
     period_minutes: float = 5.0
@@ -359,18 +358,12 @@ def offline_optimal(
     return replace(result, solve_count=1), schedule
 
 
-def realized_utility(
-    result: SimResult,
-    utility: UtilityConfig,
-    *,
-    use_measured: bool = True,
-) -> float:
-    """Evaluate a utility configuration on a finished run's charging profile.
+def realized_utility(result: SimResult, utility: UtilityConfig) -> float:
+    """Evaluate a utility configuration on a finished run's measured (actually drawn) currents.
 
-    Uses the measured (actually drawn) currents by default, the pilot
-    allocation otherwise. Horizon weighting spans the whole run.
+    Horizon weighting spans the whole run.
     """
-    rates = result.measured if use_measured else result.pilots
+    rates = result.measured
     bg = np.array([utility.background(t) for t in range(rates.shape[1])])
     profile = Profile(
         rates=rates,

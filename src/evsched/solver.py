@@ -170,11 +170,6 @@ class RowStore(Sequence):
         out._joined, out._count = self.arrays(), self._count
         return out
 
-    def residuals(self, x: np.ndarray) -> np.ndarray:
-        """coef @ x[idx] - rhs, one entry per row."""
-        idx, coef, lens, rhs = self.arrays()
-        return np.bincount(np.repeat(np.arange(len(rhs)), lens), weights=coef * x[idx], minlength=len(rhs)) - rhs
-
     def csr(self, n: int) -> tuple["sp.csr_matrix", np.ndarray]:
         """The rows as a csr matrix over n columns, and their right-hand sides."""
         idx, coef, _, rhs = self.arrays()

@@ -15,7 +15,7 @@ def test_ideal_draws_pilot_until_full():
 
 
 def test_two_stage_acceptance_at_90_percent():
-    b = BatteryState(capacity=100.0, charge=90.0, max_current=32.0, model=TWO_STAGE, tail_start_soc=0.8)
+    b = BatteryState(capacity=100.0, charge=90.0, max_current=32.0, model=TWO_STAGE)
     # halfway through the tail: half the rated current
     assert b.acceptance_limit() == pytest.approx(16.0)
     assert response(b, 32.0) == pytest.approx(10.0)  # headroom caps it
@@ -32,18 +32,11 @@ def test_two_stage_bulk_region_full_rate():
 
 def test_tail_matches_direct_recursion():
     capacity, max_current, tail = 200.0, 16.0, 0.8
-    b = BatteryState(capacity, 0.0, max_current, TWO_STAGE, tail)
+    b = BatteryState(capacity, 0.0, max_current, TWO_STAGE)
     delivered = sum(response(b, max_current) for _ in range(60))
     expected = battery_tail_energy(capacity, max_current, tail, 0.0, 60)
     assert delivered == pytest.approx(expected)
     assert b.charge <= capacity
-
-
-def test_response_respects_period_length():
-    b = BatteryState(10.0, 9.0, 32.0, IDEAL)
-    # half-length period: a 2 A draw only deposits 1 amp-period
-    assert response(b, 2.0, period_length=0.5) == 2.0
-    assert b.charge == pytest.approx(9.5 + 0.5)
 
 
 def test_invariants_random_walk():
@@ -72,13 +65,9 @@ def test_validation_errors():
         BatteryState(10.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         BatteryState(10.0, 0.0, 32.0, model="magic")
-    with pytest.raises(ValueError):
-        BatteryState(10.0, 0.0, 32.0, TWO_STAGE, tail_start_soc=1.0)
     b = BatteryState(10.0, 0.0, 32.0)
     with pytest.raises(ValueError):
         response(b, -1.0)
-    with pytest.raises(ValueError):
-        response(b, 1.0, period_length=0.0)
 
 
 def test_zero_capacity_is_always_full():

@@ -48,10 +48,18 @@ def test_invalid_json_config_is_a_clean_error(tmp_path, capsys):
 
 def test_unknown_config_keys_are_a_clean_error(tmp_path, capsys):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"horizn": 36, "solver_tol": 1e-4, "scenario": "II"}))
-    assert main(["simulate", "--config", str(path), "--dry-run"]) == 2
-    err = capsys.readouterr().err
-    assert "error:" in err and "'horizn'" in err and "'solver_tol'" in err
+    for raw, offenders in [
+        ({"horizn": 36, "solver_tol": 1e-4, "scenario": "II"}, ["'horizn'", "'solver_tol'"]),
+        ({"network": {"preset": "synthetic", "transformer_KW": 12}}, ["'transformer_KW'"]),
+        ({"workload": {"fil": "wl.json"}}, ["'fil'"]),
+        ({"workload": {"generate": {"days": ["tue"], "session_scal": 0.33}}}, ["'session_scal'"]),
+        ({"workload": {"generate": {"days": ["tue"], "stats": "nonsense"}}}, ["'nonsense'"]),
+        ({"network": "caltech"}, ["network", "'caltech'"]),
+    ]:
+        path.write_text(json.dumps(raw))
+        assert main(["simulate", "--config", str(path), "--dry-run"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and all(o in err for o in offenders)
 
 
 def test_simulate_writes_outputs(tiny_config, tmp_path, capsys):

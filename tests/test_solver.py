@@ -404,8 +404,6 @@ def test_row_store_reads_back_its_rows():
     assert rows[-3][0].idx.tolist() == [1]
     with pytest.raises(IndexError):
         rows[4]
-    x = np.array([1.0, 2.0, 3.0])
-    assert rows.residuals(x).tolist() == [e.value(x) - rhs for e, rhs in rows]
     with pytest.raises(ValueError):
         rows[0][0].coef[0] = 9.0  # views of the store are read-only
 
