@@ -74,7 +74,7 @@ def cmd_generate_workload(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(_load_config(args.config), args)
     network = experiments.build_network(cfg)
     sessions = experiments.build_workload(cfg, network)
-    save_dataset(sessions, args.out, cfg["voltage"], cfg["period_minutes"])
+    save_dataset(sessions, args.out, network.nominal_voltage, cfg["period_minutes"])
     print(f"wrote {len(sessions)} sessions to {args.out}")
     return 0
 

@@ -73,7 +73,6 @@ __all__ = [
 _DEFAULTS: dict[str, Any] = {
     "seed": 0,
     "period_minutes": 5.0,
-    "voltage": 208.0,
     "scenario": "II",
     "algorithm": "asa",
     "utility": "quick-charge",
@@ -90,12 +89,15 @@ _DEFAULTS: dict[str, Any] = {
 }
 
 
+# The keys each kind of network reads: a network file, or a preset.
+_NETWORK_KEYS = {"file": {"file"}, "caltech": {"preset", "transformer_kw"}, "synthetic": {"preset", "n_evse", "transformer_kw"}}
+
 # The keys a config may hold at its top level and in each nested section.
 # ``sweep`` and ``profit_runs`` have no default: only ``capacity_sweep`` and
 # ``profit_experiment`` read them.
 _KNOWN_KEYS = {
     "config": {*_DEFAULTS, "sweep", "profit_runs"},
-    "network": {"file", "preset", "n_evse", "transformer_kw"},
+    "network": set().union(*_NETWORK_KEYS.values()),
     "workload": {"file", "generate"},
     "workload.generate": {"days", "stats", "session_scale"},
 }
@@ -111,15 +113,27 @@ def _check_keys(section: Any, where: str) -> dict[str, Any]:
     return section
 
 
+def _network_kind(spec: dict[str, Any]) -> str:
+    """Which network a ``network`` section builds, once it holds no key that network ignores."""
+    kind = "file" if "file" in spec else spec.get("preset", "caltech")
+    if kind not in _NETWORK_KEYS:
+        raise ValueError(f"unknown network preset {kind!r}")
+    ignored = sorted(set(spec) - _NETWORK_KEYS[kind])
+    if ignored:
+        raise ValueError(f"network keys {ignored} do not apply to a {kind} network")
+    return kind
+
+
 def resolve_config(raw: dict[str, Any], base_dir: str | Path | None = None) -> dict[str, Any]:
     """Fill defaults and resolve file paths relative to the config's home.
 
     An unknown key is an error, at the top level and inside ``network``,
-    ``workload`` and ``workload.generate``; so is any ``stats`` but ``caltech``.
+    ``workload`` and ``workload.generate``; so is a network key the chosen
+    network ignores, and any ``stats`` but ``caltech``.
     """
     _check_keys(raw, "config")
     cfg = {**_DEFAULTS, **raw}
-    _check_keys(cfg["network"], "network")
+    _network_kind(_check_keys(cfg["network"], "network"))
     gen = _check_keys(cfg["workload"], "workload").get("generate", {})
     _check_keys(gen, "workload.generate")
     if gen.get("stats", "caltech") != "caltech":
@@ -139,20 +153,19 @@ def resolve_config(raw: dict[str, Any], base_dir: str | Path | None = None) -> d
 
 def build_network(cfg: dict[str, Any]) -> ChargingNetwork:
     spec = cfg["network"]
-    if "file" in spec:
+    kind = _network_kind(spec)
+    if kind == "file":
         return ChargingNetwork.load(spec["file"])
-    preset = spec.get("preset", "caltech")
-    if preset == "caltech":
+    if kind == "caltech":
         return caltech_preset(float(spec.get("transformer_kw", 150.0)))
-    if preset == "synthetic":
-        return synthetic_preset(int(spec.get("n_evse", 10)), float(spec.get("transformer_kw", 50.0)))
-    raise ValueError(f"unknown network preset {preset!r}")
+    return synthetic_preset(int(spec.get("n_evse", 10)), float(spec.get("transformer_kw", 50.0)))
 
 
 def build_workload(cfg: dict[str, Any], network: ChargingNetwork) -> list[Session]:
+    """The configured sessions, their energy in amp-periods at the network's nominal voltage."""
     spec = cfg["workload"]
     if "file" in spec:
-        return load_dataset(spec["file"], network, cfg["voltage"], cfg["period_minutes"])
+        return load_dataset(spec["file"], network, network.nominal_voltage, cfg["period_minutes"])
     gen = spec["generate"]
     stats = caltech_stats()
     if gen.get("session_scale", 1.0) != 1.0:
@@ -225,25 +238,6 @@ def profit_utility(
     return at
 
 
-def offline_profit_utility(
-    tariff: Tariff,
-    revenue_per_kwh: float,
-    billing_days: float,
-    start_day: str,
-    period_minutes: float,
-) -> UtilityConfig:
-    """Hindsight profit objective: full window demand rate on the peak."""
-    window_rate = tariff.demand_charge_rate * billing_days / DAYS_PER_MONTH
-    price = tariff_price_fn(tariff, start_day, period_minutes)
-    return UtilityConfig(
-        (
-            (EnergyCost(revenue_per_kwh, price), 1.0),
-            (DemandCharge(window_rate, 0.0), 1.0),
-            (EqualShare(), 1e-12),
-        )
-    )
-
-
 def _billing_days(cfg: dict[str, Any], sessions: Sequence[Session]) -> float:
     if cfg.get("billing_days"):
         return float(cfg["billing_days"])
@@ -251,6 +245,37 @@ def _billing_days(cfg: dict[str, Any], sessions: Sequence[Session]) -> float:
         return 1.0
     periods_per_day = 1440.0 / cfg["period_minutes"]
     return max(1.0, math.ceil(max(s.departure for s in sessions) / periods_per_day))
+
+
+def _utility_tariff(cfg: dict[str, Any], preset: str) -> Tariff | None:
+    """The tariff a utility preset prices by: None for quick-charge; a profit preset needs one."""
+    if preset == "quick-charge":
+        return None
+    if preset not in ("profit", "profit-hint"):
+        raise ValueError(f"unknown utility preset {preset!r}")
+    tariff = build_tariff(cfg)
+    if tariff is None:
+        raise ValueError("profit utility needs a tariff")
+    return tariff
+
+
+def _hindsight_utility(cfg: dict[str, Any], sessions: Sequence[Session], preset: str) -> UtilityConfig:
+    """The offline benchmark's objective for a utility preset, picked by ``make_algorithm``'s rule.
+
+    Hindsight profit puts the full window demand rate on the peak.
+    """
+    tariff = _utility_tariff(cfg, preset)
+    if tariff is None:
+        return quick_charge_utility()
+    window_rate = tariff.demand_charge_rate * _billing_days(cfg, sessions) / DAYS_PER_MONTH
+    price = tariff_price_fn(tariff, cfg["start_day"], cfg["period_minutes"])
+    return UtilityConfig(
+        (
+            (EnergyCost(cfg["revenue_per_kwh"], price), 1.0),
+            (DemandCharge(window_rate, 0.0), 1.0),
+            (EqualShare(), 1e-12),
+        )
+    )
 
 
 def make_algorithm(
@@ -270,13 +295,11 @@ def make_algorithm(
         raise ValueError(f"unknown algorithm {name!r}")
 
     preset = cfg["utility"]
-    if preset == "quick-charge":
+    tariff = _utility_tariff(cfg, preset)
+    if tariff is None:
         utility: UtilityConfig | Callable[[int], UtilityConfig] = quick_charge_utility()
         meter = None
-    elif preset in ("profit", "profit-hint"):
-        tariff = build_tariff(cfg)
-        if tariff is None:
-            raise ValueError("profit utility needs a tariff")
+    else:
         meter = Meter()
         utility = profit_utility(
             tariff,
@@ -287,8 +310,6 @@ def make_algorithm(
             meter,
             hint_peak_kw if preset == "profit-hint" else None,
         )
-    else:
-        raise ValueError(f"unknown utility preset {preset!r}")
 
     algo = AdaptiveScheduler(
         network,
@@ -321,14 +342,7 @@ def simulate_once(cfg: dict[str, Any], *, hint_peak_kw: float | None = None) -> 
     sessions = build_workload(cfg, network)
     sim_cfg = _sim_config(cfg, sessions)
     if cfg["algorithm"] == "offline":
-        tariff = build_tariff(cfg)
-        if cfg["utility"] in ("profit", "profit-hint") and tariff is not None:
-            utility = offline_profit_utility(
-                tariff, cfg["revenue_per_kwh"], _billing_days(cfg, sessions),
-                cfg["start_day"], cfg["period_minutes"],
-            )
-        else:
-            utility = quick_charge_utility()
+        utility = _hindsight_utility(cfg, sessions, cfg["utility"])
         result, _ = offline_optimal(network, sessions, utility, sim_cfg, constraint_mode=cfg["constraint_mode"])
         return result
     algorithm = make_algorithm(cfg, network, sessions, hint_peak_kw=hint_peak_kw)
@@ -372,14 +386,7 @@ def profit_experiment(cfg: dict[str, Any]) -> list[dict[str, Any]]:
     network = build_network(cfg)
     sessions = build_workload(cfg, network)
     sim_cfg = _sim_config(cfg, sessions)
-    tariff = build_tariff(cfg)
-    if tariff is None:
-        raise ValueError("profit experiment needs a tariff")
-    billing_days = _billing_days(cfg, sessions)
-
-    utility = offline_profit_utility(
-        tariff, cfg["revenue_per_kwh"], billing_days, cfg["start_day"], cfg["period_minutes"]
-    )
+    utility = _hindsight_utility(cfg, sessions, "profit")
     offline_result, _ = offline_optimal(network, sessions, utility, sim_cfg, constraint_mode=cfg["constraint_mode"])
     offline_profit = offline_result.billing.profit
 

@@ -10,24 +10,24 @@ second-order cones: (limit, re'x + o_re, im'x + o_im) in Q^3 and
 (z, a_1'x + b_1, ..) in Q^(1+m).
 
 One primal-dual Mehrotra predictor-corrector method (Wright, 1997) solves
-the program, rows and finite bounds in the nonnegative orthant and each
-cone scaled at its Nesterov-Todd point as in CVXOPT's coneqp and ECOS
-(Domahidi, Chu and Boyd, 2013); a cone counts as degree 1 in mu. A bound
-only adds its barrier weight to the diagonal. Each Newton step solves
-(P + delta + G'HG) dx = r, H being (s/z + 1e-9)^-1 on a row and
-(W^2 + 1e-9)^-1 on a cone with NT scaling W, by dense Cholesky up to a
-thousand variables and otherwise by sparse LU of the KKT system, in which a
-cone has the dense block -(W^2 + 1e-9). A failed factorization raises delta,
-on P and the equality rows only, 100-fold. What depends only on the program
-is fixed once per call, as in OSQP. A solution reports its relative
-residuals and mu.
+the program, rows in the nonnegative orthant and each cone scaled at its
+Nesterov-Todd point as in CVXOPT's coneqp and ECOS (Domahidi, Chu and Boyd,
+2013); a cone counts as degree 1 in mu. Each finite bound is one more row,
+x_i <= u_i or -x_i <= -l_i, of the one inequality matrix G that every step
+reads. Each Newton step solves (P + delta + G'HG) dx = r, H being
+(s/z + 1e-9)^-1 on a row and (W^2 + 1e-9)^-1 on a cone with NT scaling W,
+by dense Cholesky up to a thousand variables and otherwise by sparse LU of
+the KKT system, in which a cone has the dense block -(W^2 + 1e-9). A
+failed factorization raises delta, on P and the equality rows only,
+100-fold. What depends only on the program is fixed once per call, as in
+OSQP. A solution reports its relative residuals and mu.
 
 Infeasibility is proved two ways. One pass over the rows, and _TANGENTS
 half-planes circumscribing each disk, takes each row's minimum over the
 box: one above the right-hand side by more than the phase-1 threshold,
 relative to 1 + the row's l1 norm, proves the program infeasible. When the
 interior point does not converge, phase-1 decides: it minimizes t with every
-row and bound relaxed by t and t added to each cone's first entry.
+row relaxed by t and t added to each cone's first entry.
 """
 
 from __future__ import annotations
@@ -386,21 +386,18 @@ class _Scaling:
 
 
 class _Inequalities:
-    """Gx <= h, the finite bounds and the cones, laid out as [rows, upper bounds, lower bounds, cones].
+    """Gx <= h and the cones, laid out as [rows, cones].
 
-    G holds the m rows, then the cones' rows G_c with h_c - G_c x in the cones;
-    the first ``orth`` entries of s and z lie in the orthant. Bounds are indexed.
+    G holds the ``orth`` rows in the orthant (bounds among them, as unit
+    rows), then the cones' rows G_c with h_c - G_c x in the cones; the first
+    ``orth`` entries of s and z lie in the orthant.
     """
 
-    def __init__(self, G: sp.csr_matrix, h: np.ndarray, lower: np.ndarray, upper: np.ndarray, cones=None):
-        self.m, self.n = G.shape
-        self.iu = np.flatnonzero(np.isfinite(upper))
-        self.il = np.flatnonzero(np.isfinite(lower))
-        self.h = np.concatenate([h, upper[self.iu], -lower[self.il]])
-        self.k, self.orth = self.m + len(self.iu), len(self.h)
-        self.cones = None
+    def __init__(self, G: sp.csr_matrix, h: np.ndarray, cones=None):
+        self.orth, self.n = G.shape
+        self.h, self.cones = h, None
         if cones is not None:
-            G, self.cones, self.h = sp.vstack([G, cones[0]], format="csr"), _Cones(cones[2]), np.concatenate([self.h, cones[1]])
+            G, self.cones, self.h = sp.vstack([G, cones[0]], format="csr"), _Cones(cones[2]), np.concatenate([h, cones[1]])
         self.G = G
         # Products by G and G' as bincounts over the csr entries: each sum
         # runs in entry order, as scipy's csr product would run it.
@@ -408,29 +405,11 @@ class _Inequalities:
         self.degree = self.orth + (self.cones.count if self.cones else 0)
 
     def dot(self, x: np.ndarray) -> np.ndarray:
-        G = self.G
-        Gx = np.bincount(self.row_of, weights=G.data * x[G.indices], minlength=G.shape[0])
-        return np.concatenate([Gx[: self.m], x[self.iu], -x[self.il], Gx[self.m :]] if self.cones else [Gx, x[self.iu], -x[self.il]])
+        return np.bincount(self.row_of, weights=self.G.data * x[self.G.indices], minlength=self.G.shape[0])
 
     def tdot(self, z: np.ndarray) -> np.ndarray:
         G = self.G
-        zr = z if self.cones is None else np.concatenate([z[: self.m], z[self.orth :]])  # row_of < m without cones
-        out = np.bincount(G.indices, weights=G.data * zr[self.row_of], minlength=self.n).astype(float, copy=False)  # int when G is empty
-        out[self.iu] += z[self.m : self.k]
-        out[self.il] -= z[self.k : self.orth]
-        return out
-
-    def bound_diag(self, w: np.ndarray) -> np.ndarray:
-        """Diagonal the bounds add to G' diag(w) G, for orthant weights w."""
-        return (np.bincount(self.iu, weights=w[self.m : self.k], minlength=self.n)
-                + np.bincount(self.il, weights=w[self.k : self.orth], minlength=self.n))
-
-    def stacked(self) -> sp.csr_matrix:
-        """One matrix over s's layout: the rows, the bounds as unit rows, the cones' rows."""
-        k = self.orth - self.m
-        data = np.concatenate([np.ones(len(self.iu)), -np.ones(len(self.il))])
-        E = sp.csr_matrix((data, (np.arange(k), np.concatenate([self.iu, self.il]))), shape=(k, self.n))
-        return sp.vstack([self.G[: self.m], E, self.G[self.m :]], format="csr")
+        return np.bincount(G.indices, weights=G.data * z[self.row_of], minlength=self.n).astype(float, copy=False)  # int when G is empty
 
 
 # Programs with at most this many variables use the dense normal matrix, larger
@@ -459,17 +438,18 @@ def _block_pairs(indptr: np.ndarray, indices: np.ndarray, n: int):
 def _normal_step(ineq: _Inequalities, As, p: int):
     """Newton steps on the dense normal matrix N = P + delta + G'HG (Cholesky), formed by one bincount.
 
-    A row adds H_r a_ri a_rj for every pair (i, j) of its nonzeros. A cone's
-    H = r I + p e+e+' + m e-e-' adds r a_ri a_rj in each of its rows and
-    p g_i g_j + m f_i f_j over its variables, g = G'e+ and f = G'e-: its huge
-    weight multiplies no entries that cancel. Equality rows go through A N^-1 A' + delta.
+    A row adds H_r a_ri a_rj for every pair (i, j) of its nonzeros; a bound's
+    unit row adds H_r on the diagonal. A cone's H = r I + p e+e+' + m e-e-'
+    adds r a_ri a_rj in each of its rows and p g_i g_j + m f_i f_j over its
+    variables, g = G'e+ and f = G'e-: its huge weight multiplies no entries
+    that cancel. Equality rows go through A N^-1 A' + delta.
     """
-    G, n, m, orth, cones = ineq.G, ineq.n, ineq.m, ineq.orth, ineq.cones
+    G, n, orth, cones = ineq.G, ineq.n, ineq.orth, ineq.cones
     first, second, pos = _block_pairs(G.indptr, G.indices, n)
     weight, prod = ineq.row_of[first], G.data[first] * G.data[second]
     if cones:
-        cdata, crow = G.data[G.indptr[m] :], ineq.row_of[G.indptr[m] :] - m
-        touched, inv = np.unique(cones.seg[crow] * n + G.indices[G.indptr[m] :], return_inverse=True)  # (cone, variable)
+        cdata, crow = G.data[G.indptr[orth] :], ineq.row_of[G.indptr[orth] :] - orth
+        touched, inv = np.unique(cones.seg[crow] * n + G.indices[G.indptr[orth] :], return_inverse=True)  # (cone, variable)
         t_cone, t_var = np.divmod(touched, n)
         tfirst, tsecond, tpos = _block_pairs(np.searchsorted(t_cone, np.arange(cones.count + 1)), t_var, n)
         pos = np.concatenate([pos, tpos])
@@ -493,10 +473,10 @@ def _normal_step(ineq: _Inequalities, As, p: int):
             pl, mi, rest = scaling.spectrum(lambda e: 1.0 / (e + _DELTA))
             g, f = (np.bincount(inv, weights=cdata * e[crow], minlength=len(touched)) for e in (scaling.ep, scaling.em))
             c = t_cone[tfirst]
-            values = np.concatenate([prod * np.concatenate([w[:m], rest[cones.seg]])[weight],
+            values = np.concatenate([prod * np.concatenate([w, rest[cones.seg]])[weight],
                                      pl[c] * g[tfirst] * g[tsecond] + mi[c] * f[tfirst] * f[tsecond]])
         buf = np.bincount(pos, weights=values, minlength=n * n).astype(float, copy=False)  # int when G is empty
-        buf[:: n + 1] += p_reg + ineq.bound_diag(w)
+        buf[:: n + 1] += p_reg
         cN = cholesky(buf.reshape((n, n), order="F"))
         if p:
             S = Ad @ cho_solve(cN, Ad.T)
@@ -526,9 +506,9 @@ def _kkt_step(ineq: _Inequalities, As, p: int):
     """Newton steps on the sparse regularized (n+p+m) KKT matrix (LU), assembled once per call.
 
     Each iteration rewrites in place P's diagonal, -delta, -(s/z + delta) on
-    the rows and bounds and each cone's dense -(W^2 + delta)."""
-    n, orth, cones = ineq.n, ineq.orth, ineq.cones
-    G, D = ineq.stacked(), sp.identity(orth)
+    the rows and each cone's dense -(W^2 + delta)."""
+    n, orth, cones, G = ineq.n, ineq.orth, ineq.cones, ineq.G
+    D = sp.identity(orth)
     if cones:
         D = sp.block_diag([D] + [np.ones((q, q)) for q in cones.dims])
     A = As if p else sp.csr_matrix((0, n))
@@ -575,12 +555,13 @@ def _import_scipy() -> None:
         import scipy.sparse.linalg as spla
 
 
-def _ipm_qp(P_diag, q, G, h, lower, upper, A, b, x0, cones=None):
-    """Minimize 1/2 x'diag(P)x + q'x  s.t.  Gx <= h, lower <= x <= upper, Ax = b, h_c - G_c x in the cones.
+def _ipm_qp(P_diag, q, G, h, A, b, x0, cones=None):
+    """Minimize 1/2 x'diag(P)x + q'x  s.t.  Gx <= h, Ax = b, h_c - G_c x in the cones.
 
-    ``cones`` is None or (G_c, h_c, dims), G_c's rows running cone by cone.
-    Returns (x, status, iterations, (primal residual, dual residual, mu) at x
-    as the stopping test scales them). There must be at least one row.
+    Bounds come as rows of G. ``cones`` is None or (G_c, h_c, dims), G_c's
+    rows running cone by cone. Returns (x, status, iterations, (primal
+    residual, dual residual, mu) at x as the stopping test scales them).
+    There must be at least one row or cone.
     """
     n = len(q)
     p = A.shape[0] if A is not None else 0
@@ -588,7 +569,7 @@ def _ipm_qp(P_diag, q, G, h, lower, upper, A, b, x0, cones=None):
     # Scale inequality and equality rows to unit inf-norm, for a well conditioned
     # central path when limits span orders of magnitude; cones keep their rows.
     Gs, g_scale = _row_scaled(G.tocsr())
-    ineq = _Inequalities(Gs, h / g_scale, lower, upper, cones)
+    ineq = _Inequalities(Gs, h / g_scale, cones)
     hs, k, cs, m = ineq.h, ineq.orth, ineq.cones, ineq.degree
     As, a_scale = _row_scaled(A.tocsr()) if p else (None, 1.0)
     bs = b / a_scale if p else np.zeros(0)
@@ -675,34 +656,35 @@ def _ipm_qp(P_diag, q, G, h, lower, upper, A, b, x0, cones=None):
     return best[1], MAX_ITER, _INNER_MAX_ITER, best[2]
 
 
-def _certify_infeasible(G, h, lower, upper, A, b, x0, cones=None) -> bool:
-    """Phase-1 check: minimize the worst violation t of every row, bound and cone, Ax = b.
+def _certify_infeasible(G, h, A, b, x0, cones=None) -> bool:
+    """Phase-1 check: minimize the worst violation t of every row and cone, Ax = b.
 
-    Rows become Gx - t <= h, bounds x - t <= upper and -x - t <= -lower, and
-    each cone's first entry gains t: always feasible, and bounded by t >= -1.
-    A strictly positive optimal t proves the original system empty.
+    Rows, bounds among them, become Gx - t <= h, and each cone's first entry
+    gains t: always feasible, and bounded by one more row -t <= 1. A strictly
+    positive optimal t proves the original system empty.
     """
-    n = G.shape[1]
-    rows = _Inequalities(G, h, lower, upper, cones)
-    Gb, hb, k = rows.stacked(), rows.h, rows.orth
-    t_col = -(np.arange(len(hb)) < k).astype(float)
-    t0 = float(np.max((Gb @ x0)[:k] - hb[:k], initial=0.0)) + 1.0
+    k, n = G.shape
+    t0 = float(np.max(G @ x0 - h, initial=0.0)) + 1.0
+    G1 = sp.vstack([sp.hstack([G, sp.csr_matrix(-np.ones((k, 1)))]), sp.csr_matrix(([-1.0], ([0], [n])), shape=(1, n + 1))],
+                   format="csr")
+    cones1, hb = None, h
     if cones is not None:
-        t_col[k + rows.cones.starts] = -1.0
-        sc = hb[k:] - (Gb @ x0)[k:]
-        t0 = max(t0, float(np.max(rows.cones.tail_norm(sc) - sc[rows.cones.starts])) + 1.0)
-    G1 = sp.hstack([Gb, sp.csr_matrix(t_col[:, None])], format="csr")
+        Gc, hc, dims = cones
+        c = _Cones(dims)
+        sc = hc - Gc @ x0
+        t0 = max(t0, float(np.max(c.tail_norm(sc) - sc[c.starts])) + 1.0)
+        t_col = np.zeros(len(hc))
+        t_col[c.starts] = -1.0
+        cones1, hb = (sp.hstack([Gc, sp.csr_matrix(t_col[:, None])], format="csr"), hc, dims), np.concatenate([h, hc])
     A1 = sp.hstack([A, sp.csr_matrix((A.shape[0], 1))], format="csr") if A is not None else None
     q1 = np.zeros(n + 1)
     q1[n] = 1.0
-    x1, status, _, _ = _ipm_qp(np.full(n + 1, 1e-9), q1, G1[:k], hb[:k], np.concatenate([np.full(n, -np.inf), [-1.0]]),
-                               np.full(n + 1, np.inf), A1, b, np.concatenate([x0, [t0]]),
-                               (G1[k:], hb[k:], cones[2]) if cones is not None else None)
+    x1, status, _, _ = _ipm_qp(np.full(n + 1, 1e-9), q1, G1, np.append(h, 1.0), A1, b, np.append(x0, t0), cones1)
     return status == OPTIMAL and x1[n] > _phase1_threshold(hb)
 
 
 def _phase1_threshold(hb: np.ndarray) -> float:
-    """Optimal phase-1 t above this proves empty a system with right-hand sides, bounds and cone offsets hb."""
+    """Optimal phase-1 t above this proves empty a system with right-hand sides (bounds among them) and cone offsets hb."""
     return 1e-7 * (1.0 + float(np.max(np.abs(hb), initial=0.0)))
 
 
@@ -737,8 +719,10 @@ def _tangent_floors(disks: list[DiskConstraint], lower: np.ndarray, upper: np.nd
 
 
 def _assemble(program: ConvexProgram):
-    """Objective, bounds, inequality rows, equality rows and cones over x and the free auxiliaries.
+    """Objective, box, inequality rows, equality rows and cones over x and the free auxiliaries.
 
+    The inequality rows are the program's, the epigraph rows e - z <= 0, each
+    finite upper bound x_i <= u_i, then each finite lower bound -x_i <= -l_i.
     Cone entry e'x + c becomes the row (-e, c) of a RowStore, so that the cone
     holds h_c - G_c x; disks are (limit, re, im), norms (z, e_1, ..).
     """
@@ -749,12 +733,15 @@ def _assemble(program: ConvexProgram):
     lower = np.concatenate([program.lower, np.full(n_aux, -np.inf)])
     upper = np.concatenate([program.upper, np.full(n_aux, np.inf)])
 
-    rows = program.linear_ineqs.copy()  # and the epigraph rows e - z <= 0
+    rows = program.linear_ineqs.copy()
     aux_rows = [(e, n + j) for j, term in enumerate(program.epigraph_terms) for e in term.exprs]
     if aux_rows:
         rows.extend(np.concatenate([np.append(e.idx, zi) for e, zi in aux_rows]),
                     np.concatenate([np.append(e.coef, -1.0) for e, _ in aux_rows]),
                     [len(e.idx) + 1 for e, _ in aux_rows], [-e.const for e, _ in aux_rows])
+    iu, il = np.flatnonzero(np.isfinite(upper)), np.flatnonzero(np.isfinite(lower))
+    rows.extend(np.concatenate([iu, il]), np.repeat([1.0, -1.0], [len(iu), len(il)]), np.ones(len(iu) + len(il)),
+                np.concatenate([upper[iu], -lower[il]]))
     cone_parts = [(LinExpr([], [], d.limit), d.real, d.imag) for d in program.disks]
     cone_parts += [(LinExpr([n + n_epi + j], [1.0]), *t.exprs) for j, t in enumerate(program.norm_terms)]
     entries = [e for part in cone_parts for e in part]
@@ -788,19 +775,18 @@ def solve(program: ConvexProgram) -> Solution:
     program.validate()
     _import_scipy()
     P, q, lower, upper, rows, A, b, cones = _assemble(program)
-    if len(rows) == 0 and cones is None and not (np.isfinite(lower).any() or np.isfinite(upper).any()):
+    if len(rows) == 0 and cones is None:
         raise ProgramError("program has no inequality rows; add finite bounds")
     x0 = _initial_point(program, len(q))
-    idx, coef, lens, rhs = rows.arrays()
+    idx, coef, lens, rhs = rows.arrays()  # a bound row's floor, (l - u)/2 <= 0, proves nothing
     floors = np.concatenate([_box_floors(np.repeat(np.arange(len(rhs)), lens), idx, coef, rhs, lower, upper),
                              _tangent_floors(program.disks, lower, upper)])
-    hb = np.concatenate([rhs, upper[np.isfinite(upper)], -lower[np.isfinite(lower)], cones[1] if cones else []])
-    if (floors > _phase1_threshold(hb)).any():
+    if (floors > _phase1_threshold(np.concatenate([rhs, cones[1] if cones else []]))).any():
         return Solution(x0[: program.n], INFEASIBLE, math.nan, 0)
 
     G, h = rows.csr(len(q))
-    x_full, status, iterations, residuals = _ipm_qp(P, q, G, h, lower, upper, A, b, x0, cones)
+    x_full, status, iterations, residuals = _ipm_qp(P, q, G, h, A, b, x0, cones)
     x = x_full[: program.n]
-    if status != OPTIMAL and _certify_infeasible(G, h, lower, upper, A, b, x0, cones):
+    if status != OPTIMAL and _certify_infeasible(G, h, A, b, x0, cones):
         return Solution(x, INFEASIBLE, math.nan, iterations, *residuals)
     return Solution(x, status, program.objective_value(x), iterations, *residuals)
